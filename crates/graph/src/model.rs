@@ -3,6 +3,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -295,6 +296,117 @@ struct NodeData {
     name: String,
 }
 
+/// The hashed index from node name to [`NodeId`]: an open-addressed,
+/// linearly probed table of `(hash, id)` slots at most half full. The names
+/// themselves live only in the node arena, so every name is allocated once,
+/// and a lookup compares the stored hash before it touches a name. Nodes
+/// are never removed, so probing needs no tombstones. The hasher is the
+/// standard library's keyed SipHash: node names arrive from tenants'
+/// N-Triples streams, so an unkeyed hash would let crafted IRIs collide.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    hasher: RandomState,
+    /// Power-of-two length (or empty before the first insert).
+    slots: Vec<NameSlot>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct NameSlot {
+    /// The low 32 bits of the name's hash; they also pick the home slot.
+    hash: u32,
+    /// The node id, or [`NameSlot::EMPTY`].
+    id: u32,
+}
+
+impl NameSlot {
+    const EMPTY: NameSlot = NameSlot {
+        hash: 0,
+        id: u32::MAX,
+    };
+}
+
+impl NameIndex {
+    /// An index that holds `nodes` names without growing.
+    fn with_capacity(nodes: usize) -> NameIndex {
+        let mut index = NameIndex::default();
+        if nodes > 0 {
+            index.slots = vec![NameSlot::EMPTY; (2 * nodes).next_power_of_two()];
+        }
+        index
+    }
+
+    fn hash(&self, name: &str) -> u32 {
+        self.hasher.hash_one(name) as u32
+    }
+
+    /// The node named `name` (whose [`NameIndex::hash`] is `hash`), if any.
+    fn get(&self, name: &str, hash: u32, nodes: &[NodeData]) -> Option<NodeId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.id == NameSlot::EMPTY.id {
+                return None;
+            }
+            if slot.hash == hash && nodes[slot.id as usize].name == name {
+                return Some(NodeId(slot.id));
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Record node `id`, which the index must not hold yet. Ids are dense
+    /// and recorded in order, so `id` also counts the ids before it.
+    fn insert(&mut self, hash: u32, id: NodeId) {
+        if 2 * (id.index() + 1) > self.slots.len() {
+            let grown = (2 * self.slots.len()).max(8);
+            let old = std::mem::replace(&mut self.slots, vec![NameSlot::EMPTY; grown]);
+            for slot in old.into_iter().filter(|s| s.id != NameSlot::EMPTY.id) {
+                self.place(slot);
+            }
+        }
+        self.place(NameSlot { hash, id: id.0 });
+    }
+
+    fn place(&mut self, slot: NameSlot) {
+        let mask = self.slots.len() - 1;
+        let mut at = slot.hash as usize & mask;
+        while self.slots[at].id != NameSlot::EMPTY.id {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+
+    /// The slot table's size; an empty id marks a free slot, so there are
+    /// no separate control bytes.
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<NameSlot>()
+    }
+}
+
+/// Nodes whose out- or in-lists changed since the grouped adjacency cache
+/// was last repaired. Every mutation path collects into one of these and
+/// hands it to [`Graph::refresh_grouped`]. While the cache is not built
+/// there is nothing to repair, so nothing is recorded (or allocated).
+#[derive(Debug, Default)]
+struct Touched {
+    live: bool,
+    out: Vec<NodeId>,
+    ins: Vec<NodeId>,
+}
+
+impl Touched {
+    fn record(&mut self, source: NodeId, target: NodeId) {
+        if self.live {
+            self.out.push(source);
+            self.ins.push(target);
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct EdgeData {
     source: NodeId,
@@ -481,7 +593,7 @@ pub struct Graph {
     edges: Vec<EdgeData>,
     out: Vec<Vec<EdgeId>>,
     ins: Vec<Vec<EdgeId>>,
-    by_name: BTreeMap<String, NodeId>,
+    names: NameIndex,
     label_ids: BTreeMap<Label, LabelId>,
     label_names: Vec<Label>,
     grouped: OnceLock<GroupedAdjacency>,
@@ -505,6 +617,7 @@ impl Graph {
             edges: Vec::with_capacity(edges),
             out: Vec::with_capacity(nodes),
             ins: Vec::with_capacity(nodes),
+            names: NameIndex::with_capacity(nodes),
             ..Graph::default()
         }
     }
@@ -541,31 +654,44 @@ impl Graph {
     /// Panics if a node with the same name already exists.
     pub fn add_named_node(&mut self, name: impl Into<String>) -> NodeId {
         let name = name.into();
+        let hash = self.names.hash(&name);
         assert!(
-            !self.by_name.contains_key(&name),
+            self.names.get(&name, hash, &self.nodes).is_none(),
             "node `{name}` already exists"
         );
+        self.push_node(name, hash)
+    }
+
+    /// Append a node the name index does not hold yet. The grouped
+    /// adjacency cache survives: nodes beyond its build-time row count read
+    /// as empty until an edge touches them.
+    fn push_node(&mut self, name: String, hash: u32) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.by_name.insert(name.clone(), id);
+        self.names.insert(hash, id);
         self.nodes.push(NodeData { name });
         self.out.push(Vec::new());
         self.ins.push(Vec::new());
-        // The grouped adjacency cache survives: nodes beyond its build-time
-        // row count read as empty until an edge touches them.
         id
     }
 
     /// Look up a node by name, creating it if missing.
     pub fn node(&mut self, name: &str) -> NodeId {
-        match self.by_name.get(name) {
-            Some(id) => *id,
-            None => self.add_named_node(name),
+        self.node_or_insert(name).0
+    }
+
+    /// Look up a node by name, creating it if missing; the flag says whether
+    /// it was created.
+    fn node_or_insert(&mut self, name: &str) -> (NodeId, bool) {
+        let hash = self.names.hash(name);
+        match self.names.get(name, hash, &self.nodes) {
+            Some(id) => (id, false),
+            None => (self.push_node(name.to_owned(), hash), true),
         }
     }
 
     /// Look up an existing node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(name).copied()
+        self.names.get(name, self.names.hash(name), &self.nodes)
     }
 
     /// The display name of a node.
@@ -584,7 +710,42 @@ impl Graph {
         occur: Interval,
         target: NodeId,
     ) -> EdgeId {
-        let (label, label_id) = self.intern_label(label.into());
+        let mut touched = self.touched();
+        let id = self.link_edge(source, &label.into(), occur, target, &mut touched);
+        self.refresh_grouped(touched);
+        id
+    }
+
+    /// Remove an edge. The edge arena stays dense: the *last* edge is swapped
+    /// into the freed slot, so that edge's id is remapped to `edge` while all
+    /// other edge ids stay valid. Adjacency (forward, reverse, and grouped)
+    /// is maintained incrementally. Returns the removed edge's
+    /// `(source, target)`.
+    pub fn remove_edge(&mut self, edge: EdgeId) -> (NodeId, NodeId) {
+        let mut touched = self.touched();
+        let ends = self.detach_edge(edge, &mut touched);
+        self.refresh_grouped(touched);
+        ends
+    }
+
+    /// An empty touched list, recording only if the grouped cache exists.
+    fn touched(&self) -> Touched {
+        Touched {
+            live: self.grouped.get().is_some(),
+            ..Touched::default()
+        }
+    }
+
+    /// Push a new edge into the arena and both adjacency sides.
+    fn link_edge(
+        &mut self,
+        source: NodeId,
+        label: &Label,
+        occur: Interval,
+        target: NodeId,
+        touched: &mut Touched,
+    ) -> EdgeId {
+        let (label, label_id) = self.intern_label(label);
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData {
             source,
@@ -595,36 +756,14 @@ impl Graph {
         });
         self.out[source.index()].push(id);
         self.ins[target.index()].push(id);
-        if self.grouped.get().is_some() {
-            let touched_out = BTreeSet::from([source]);
-            let touched_in = BTreeSet::from([target]);
-            self.refresh_grouped(&touched_out, &touched_in);
-        }
+        touched.record(source, target);
         id
-    }
-
-    /// Remove an edge. The edge arena stays dense: the *last* edge is swapped
-    /// into the freed slot, so that edge's id is remapped to `edge` while all
-    /// other edge ids stay valid. Adjacency (forward, reverse, and grouped)
-    /// is maintained incrementally. Returns the removed edge's
-    /// `(source, target)`.
-    pub fn remove_edge(&mut self, edge: EdgeId) -> (NodeId, NodeId) {
-        let mut touched_out = BTreeSet::new();
-        let mut touched_in = BTreeSet::new();
-        let ends = self.detach_edge(edge, &mut touched_out, &mut touched_in);
-        self.refresh_grouped(&touched_out, &touched_in);
-        ends
     }
 
     /// Unlink `edge` from both adjacency sides and swap-remove it from the
     /// arena, recording every node whose out/in list changed (including the
     /// endpoints of the edge that got remapped to fill the hole).
-    fn detach_edge(
-        &mut self,
-        edge: EdgeId,
-        touched_out: &mut BTreeSet<NodeId>,
-        touched_in: &mut BTreeSet<NodeId>,
-    ) -> (NodeId, NodeId) {
+    fn detach_edge(&mut self, edge: EdgeId, touched: &mut Touched) -> (NodeId, NodeId) {
         let (source, target) = {
             let data = &self.edges[edge.index()];
             (data.source, data.target)
@@ -633,8 +772,7 @@ impl Graph {
         self.ins[target.index()].retain(|&e| e != edge);
         let last = EdgeId(self.edges.len() as u32 - 1);
         self.edges.swap_remove(edge.index());
-        touched_out.insert(source);
-        touched_in.insert(target);
+        touched.record(source, target);
         if edge != last {
             let (moved_source, moved_target) = {
                 let data = &self.edges[edge.index()];
@@ -650,34 +788,37 @@ impl Graph {
                     *slot = edge;
                 }
             }
-            touched_out.insert(moved_source);
-            touched_in.insert(moved_target);
+            touched.record(moved_source, moved_target);
         }
         (source, target)
     }
 
     /// Incrementally repair the grouped adjacency cache (if built) after the
-    /// out-lists of `touched_out` / in-lists of `touched_in` changed. When
+    /// out-lists of `touched.out` / in-lists of `touched.ins` changed. When
     /// the accumulated overlay would dominate the base CSR the cache is
     /// dropped instead, and the next reader rebuilds it flat.
-    fn refresh_grouped(&mut self, touched_out: &BTreeSet<NodeId>, touched_in: &BTreeSet<NodeId>) {
+    fn refresh_grouped(&mut self, mut touched: Touched) {
         let Some(grouped) = self.grouped.get() else {
             return;
         };
+        for list in [&mut touched.out, &mut touched.ins] {
+            list.sort_unstable();
+            list.dedup();
+        }
         let budget = self.nodes.len() / 4 + 64;
         let projected = grouped.out.overlay.len()
             + grouped.ins.overlay.len()
-            + touched_out.len()
-            + touched_in.len();
+            + touched.out.len()
+            + touched.ins.len();
         if projected > budget {
             self.grouped.take();
             return;
         }
         let grouped = self.grouped.get_mut().expect("grouped cache present");
-        for &n in touched_out {
+        for &n in &touched.out {
             grouped.out.patch(n, &self.out[n.index()], &self.edges);
         }
-        for &n in touched_in {
+        for &n in &touched.ins {
             grouped.ins.patch(n, &self.ins[n.index()], &self.edges);
         }
     }
@@ -688,30 +829,20 @@ impl Graph {
     /// removed edges) plus every newly created node. The dirty set is what
     /// an incremental validator must re-examine; it is sorted and
     /// duplicate-free.
+    ///
+    /// Each operation costs O(1) expected plus, for removals, a scan of the
+    /// source's out-list: node names resolve through a hashed index, and
+    /// dirty and touched nodes are collected flat and sorted once per delta.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> DeltaReport {
         let mut report = DeltaReport::default();
-        let mut dirty: BTreeSet<NodeId> = BTreeSet::new();
-        let mut touched_out: BTreeSet<NodeId> = BTreeSet::new();
-        let mut touched_in: BTreeSet<NodeId> = BTreeSet::new();
+        let mut touched = self.touched();
         for op in &delta.ops {
             if op.add {
-                let source = self.delta_node(&op.source, &mut report, &mut dirty);
-                let target = self.delta_node(&op.target, &mut report, &mut dirty);
-                let (label, label_id) = self.intern_label(op.label.clone());
-                let id = EdgeId(self.edges.len() as u32);
-                self.edges.push(EdgeData {
-                    source,
-                    target,
-                    label,
-                    label_id,
-                    occur: Interval::ONE,
-                });
-                self.out[source.index()].push(id);
-                self.ins[target.index()].push(id);
+                let source = self.delta_node(&op.source, &mut report);
+                let target = self.delta_node(&op.target, &mut report);
+                self.link_edge(source, &op.label, Interval::ONE, target, &mut touched);
                 report.added_edges += 1;
-                dirty.insert(source);
-                touched_out.insert(source);
-                touched_in.insert(target);
+                report.dirty.push(source);
             } else {
                 let found = self.find_node(&op.source).and_then(|s| {
                     let t = self.find_node(&op.target)?;
@@ -723,44 +854,38 @@ impl Graph {
                 });
                 match found {
                     Some(edge) => {
-                        let (source, _) = self.detach_edge(edge, &mut touched_out, &mut touched_in);
+                        let (source, _) = self.detach_edge(edge, &mut touched);
                         report.removed_edges += 1;
-                        dirty.insert(source);
+                        report.dirty.push(source);
                     }
                     None => report.missing_removals += 1,
                 }
             }
         }
-        if !touched_out.is_empty() || !touched_in.is_empty() {
-            self.refresh_grouped(&touched_out, &touched_in);
-        }
-        report.dirty = dirty.into_iter().collect();
+        self.refresh_grouped(touched);
+        report.dirty.sort_unstable();
+        report.dirty.dedup();
         report
     }
 
-    fn delta_node(
-        &mut self,
-        name: &str,
-        report: &mut DeltaReport,
-        dirty: &mut BTreeSet<NodeId>,
-    ) -> NodeId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+    /// Resolve a delta endpoint, creating (and reporting) it if missing.
+    fn delta_node(&mut self, name: &str, report: &mut DeltaReport) -> NodeId {
+        let (id, created) = self.node_or_insert(name);
+        if created {
+            report.added_nodes += 1;
+            report.dirty.push(id);
         }
-        let id = self.add_named_node(name);
-        report.added_nodes += 1;
-        dirty.insert(id);
         id
     }
 
-    fn intern_label(&mut self, label: Label) -> (Label, LabelId) {
-        if let Some((existing, &id)) = self.label_ids.get_key_value(&label) {
+    fn intern_label(&mut self, label: &Label) -> (Label, LabelId) {
+        if let Some((existing, &id)) = self.label_ids.get_key_value(label) {
             return (existing.clone(), id);
         }
         let id = LabelId(self.label_names.len() as u32);
         self.label_ids.insert(label.clone(), id);
         self.label_names.push(label.clone());
-        (label, id)
+        (label.clone(), id)
     }
 
     /// Add a plain edge with interval `1` (the only kind allowed in simple
@@ -895,8 +1020,9 @@ impl Graph {
     }
 
     /// Approximate heap footprint of the graph in bytes: arena capacities
-    /// times element sizes, node-name strings, the name/label indexes (at a
-    /// flat per-entry estimate for the tree overhead), and the grouped
+    /// times element sizes, node-name strings (once: the name index holds
+    /// ids, not names), the name index by its slot capacity, the label index
+    /// (at a flat per-entry estimate for the tree overhead), and the grouped
     /// adjacency if it has been built. Interned [`Label`]s are counted as
     /// their `Arc` handle only — the string allocation belongs to whichever
     /// table interned it. This feeds the cache accounting of the containment
@@ -917,11 +1043,7 @@ impl Graph {
             .map(|v| v.capacity() * size_of::<EdgeId>())
             .sum::<usize>();
         bytes += self.nodes.iter().map(|n| n.name.capacity()).sum::<usize>();
-        bytes += self
-            .by_name
-            .keys()
-            .map(|name| name.capacity() + size_of::<NodeId>() + MAP_ENTRY)
-            .sum::<usize>();
+        bytes += self.names.heap_bytes();
         bytes += self.label_ids.len() * (size_of::<Label>() + size_of::<LabelId>() + MAP_ENTRY);
         bytes += self.label_names.capacity() * size_of::<Label>();
         if let Some(grouped) = self.grouped.get() {
@@ -1652,6 +1774,55 @@ mod tests {
         assert_eq!(report.added_edges, 80);
         assert_eq!(report.added_nodes, 160);
         assert_grouped_consistent(&g);
+    }
+
+    /// A graph of `2 * triples` nodes loaded in ten deltas, every node name
+    /// padded with `pad` extra bytes; the estimate after each delta.
+    fn loaded(triples: usize, pad: usize) -> (Graph, Vec<usize>) {
+        let mut g = Graph::new();
+        let mut estimates = vec![g.approx_heap_bytes()];
+        let mut delta = GraphDelta::new();
+        let fill = "x".repeat(pad);
+        for chunk in (0..triples).collect::<Vec<_>>().chunks(triples / 10) {
+            delta.clear();
+            for i in chunk {
+                delta.add_triple(&format!("<s{i}{fill}>"), "<p>", &format!("<o{i}{fill}>"));
+            }
+            g.apply_delta(&delta);
+            estimates.push(g.approx_heap_bytes());
+        }
+        (g, estimates)
+    }
+
+    #[test]
+    fn heap_estimate_covers_names_index_and_arenas() {
+        use std::mem::size_of;
+        let (g, estimates) = loaded(5_000, 0);
+        assert_eq!(g.node_count(), 10_000);
+        assert!(
+            estimates.windows(2).all(|w| w[0] < w[1]),
+            "the estimate grows with the node count: {estimates:?}"
+        );
+        let names: usize = g.nodes().map(|n| g.node_name(n).len()).sum();
+        // At most half the slots are full.
+        let index = g.names.slots.capacity() * size_of::<NameSlot>();
+        assert!(index >= 2 * g.node_count() * size_of::<NameSlot>());
+        let arenas = g.node_count() * size_of::<NodeData>()
+            + g.edge_count() * size_of::<EdgeData>()
+            + 2 * g.node_count() * size_of::<Vec<EdgeId>>()
+            + 2 * g.edge_count() * size_of::<EdgeId>();
+        assert!(
+            g.approx_heap_bytes() >= names + index + arenas,
+            "{} < {names} + {index} + {arenas}",
+            g.approx_heap_bytes()
+        );
+        // Each name is charged once: padding every name by 100 bytes adds
+        // exactly 100 bytes per node and leaves every other term alone.
+        let (padded, _) = loaded(5_000, 100);
+        assert_eq!(
+            padded.approx_heap_bytes() - g.approx_heap_bytes(),
+            100 * g.node_count()
+        );
     }
 
     #[test]

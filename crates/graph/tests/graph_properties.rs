@@ -1,13 +1,127 @@
 //! Property-based and scenario tests for the graph model: text round-trips,
-//! classification, and unpacking of compressed graphs.
+//! classification, unpacking of compressed graphs, and `apply_delta` against
+//! an op-by-op reference.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use shapex_graph::generate::{sample_from_shape, GraphGen};
-use shapex_graph::{parse_graph, write_graph, Graph, GraphKind};
+use shapex_graph::{parse_graph, write_graph, DeltaReport, Graph, GraphDelta, GraphKind};
 use shapex_rbe::Interval;
+
+/// One generated delta operation: `(kind, source, label, target)`. Kinds 0
+/// and 1 add an edge, kind 2 removes one; endpoints index a node-name pool.
+type Op = (u8, usize, usize, usize);
+
+const LABELS: [&str; 3] = ["p", "q", "r"];
+
+fn node_name(index: usize, pool: usize) -> String {
+    format!("n{}", index % pool)
+}
+
+fn delta_of(ops: &[Op], pool: usize) -> GraphDelta {
+    let mut delta = GraphDelta::new();
+    for &(kind, s, l, t) in ops {
+        let (s, t) = (node_name(s, pool), node_name(t, pool));
+        if kind < 2 {
+            delta.add_edge(s, LABELS[l], t);
+        } else {
+            delta.remove_edge(s, LABELS[l], t);
+        }
+    }
+    delta
+}
+
+/// What `apply_delta` must do, spelled out one op at a time through the
+/// public `node` / `add_edge` / `remove_edge` API, with the dirty set
+/// collected in an ordered set.
+fn reference_apply(g: &mut Graph, ops: &[Op], pool: usize) -> DeltaReport {
+    let mut report = DeltaReport::default();
+    let mut dirty = BTreeSet::new();
+    for &(kind, s, l, t) in ops {
+        let (s, t, label) = (node_name(s, pool), node_name(t, pool), LABELS[l]);
+        if kind < 2 {
+            let mut endpoint = |g: &mut Graph, name: &str| {
+                let before = g.node_count();
+                let id = g.node(name);
+                if g.node_count() > before {
+                    report.added_nodes += 1;
+                    dirty.insert(id);
+                }
+                id
+            };
+            let source = endpoint(g, &s);
+            let target = endpoint(g, &t);
+            g.add_edge(source, label, target);
+            report.added_edges += 1;
+            dirty.insert(source);
+        } else {
+            let found = g.find_node(&s).zip(g.find_node(&t)).and_then(|(s, t)| {
+                g.out(s)
+                    .iter()
+                    .copied()
+                    .find(|&e| g.label(e).as_str() == label && g.target(e) == t)
+            });
+            match found {
+                Some(edge) => {
+                    let (source, _) = g.remove_edge(edge);
+                    report.removed_edges += 1;
+                    dirty.insert(source);
+                }
+                None => report.missing_removals += 1,
+            }
+        }
+    }
+    report.dirty = dirty.into_iter().collect();
+    report
+}
+
+/// Every edge as `(source, label, target)`, in edge-id order.
+fn edge_list(g: &Graph) -> Vec<(u32, String, u32)> {
+    g.edges()
+        .map(|e| (g.source(e).0, g.label(e).to_string(), g.target(e).0))
+        .collect()
+}
+
+/// `g` must equal the reference graph id for id, and its grouped adjacency
+/// must equal that of a graph freshly built from its edges.
+fn assert_same_graph(g: &Graph, reference: &Graph, pool: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.node_count(), reference.node_count());
+    for v in g.nodes() {
+        prop_assert_eq!(g.node_name(v), reference.node_name(v));
+        prop_assert_eq!(g.out(v), reference.out(v));
+        prop_assert_eq!(g.ins(v), reference.ins(v));
+    }
+    for i in 0..pool {
+        let name = node_name(i, pool);
+        prop_assert_eq!(g.find_node(&name), reference.find_node(&name));
+    }
+    prop_assert_eq!(edge_list(g), edge_list(reference));
+    for label in LABELS {
+        prop_assert_eq!(g.find_label(label), reference.find_label(label));
+    }
+    let mut fresh = Graph::new();
+    for v in g.nodes() {
+        fresh.add_named_node(g.node_name(v));
+    }
+    for e in g.edges() {
+        fresh.add_edge(g.source(e), g.label(e).clone(), g.target(e));
+    }
+    for v in g.nodes() {
+        for label in LABELS {
+            let (Some(ours), Some(theirs)) = (g.find_label(label), fresh.find_label(label)) else {
+                continue;
+            };
+            prop_assert_eq!(g.out_by_label(v, ours), fresh.out_by_label(v, theirs));
+            prop_assert_eq!(g.in_by_label(v, ours), fresh.in_by_label(v, theirs));
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -67,6 +181,43 @@ proptest! {
         prop_assert_eq!(unpacked.edge_count() as u64, expected_edges);
         // Each non-root node receives exactly one incoming edge.
         prop_assert_eq!(unpacked.edge_count(), unpacked.node_count() - 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `apply_delta` is pinned exactly: its report, node ids, edges, and
+    /// grouped adjacency equal an op-by-op reference, whether or not the
+    /// grouped cache is built while the deltas land. Small pools give
+    /// duplicate adds and removals that hit; large ones give new nodes,
+    /// missing removals, and deltas that touch enough nodes to drop the
+    /// grouped overlay.
+    #[test]
+    fn apply_delta_matches_an_op_by_op_reference(
+        pool in 2usize..48,
+        deltas in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0usize..48, 0usize..3, 0usize..48), 0..40),
+            1..6,
+        ),
+    ) {
+        let mut reference = Graph::new();
+        let mut cold = Graph::new();
+        let mut warm = Graph::new();
+        for ops in &deltas {
+            let expected = reference_apply(&mut reference, ops, pool);
+            let delta = delta_of(ops, pool);
+            prop_assert_eq!(&cold.apply_delta(&delta), &expected);
+            // Build (or rebuild, if the last delta dropped it) the grouped
+            // cache, so the delta is repaired incrementally.
+            if let Some(v) = warm.nodes().next() {
+                let _ = warm.out_groups(v).count();
+            }
+            prop_assert_eq!(&warm.apply_delta(&delta), &expected);
+            assert_same_graph(&warm, &reference, pool)?;
+        }
+        // Only now is the cold graph's grouped cache built, from scratch.
+        assert_same_graph(&cold, &reference, pool)?;
     }
 }
 

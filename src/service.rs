@@ -243,7 +243,8 @@ pub enum ServiceResponse {
         /// The graph the chunk went into (fresh when the request carried
         /// `graph: None`).
         graph: GraphId,
-        /// Total triples parsed into this graph across all chunks so far.
+        /// Total triples parsed into this graph across all accepted chunks
+        /// so far (a chunk rejected with a parse error adds none).
         triples: u64,
         /// What this chunk changed, dirty nodes included. Boxed: the dirty
         /// list can be long, and responses travel through queues sized for
@@ -553,6 +554,9 @@ struct GraphEntry {
     graph: Graph,
     /// The streaming N-Triples parser (bounded buffer: at most one line).
     parser: NTriplesParser,
+    /// Triples applied from accepted chunks. Kept here, not read off the
+    /// parser: a parse error replaces the parser, and with it its count.
+    triples: u64,
     /// Dirty nodes accumulated since the oldest unsynced typing, in
     /// application order (duplicates allowed — revalidation dedupes via its
     /// worklist). Trimmed whenever every retained typing has caught up.
@@ -780,9 +784,10 @@ impl ContainmentService {
                     faults::trigger(faults::site::POST_PARSE);
                     let report = entry.graph.apply_delta(&delta);
                     entry.dirty.extend_from_slice(&report.dirty);
+                    entry.triples += report.added_edges as u64;
                     Ok(ServiceResponse::Loaded {
                         graph: id,
-                        triples: entry.parser.triples(),
+                        triples: entry.triples,
                         report: Box::new(report),
                     })
                 })
@@ -858,6 +863,7 @@ impl ContainmentService {
             entry: Mutex::new(GraphEntry {
                 graph: Graph::new(),
                 parser: NTriplesParser::new(),
+                triples: 0,
                 dirty: Vec::new(),
                 typings: HashMap::new(),
             }),
@@ -1741,6 +1747,11 @@ mod tests {
             load(&service, TenantId::DEFAULT, Some(graph), b"<a> <q> <c> .\n").unwrap();
         assert_eq!(report.added_edges, 1);
         assert_eq!(report.added_nodes, 1, "a and b survived the bad chunk");
+        // The running count covers every accepted chunk, not just those
+        // since the parser was reset.
+        let (_, triples, _) =
+            load(&service, TenantId::DEFAULT, Some(graph), b"<a> <r> <c> .\n").unwrap();
+        assert_eq!(triples, 3, "one before the error, two after it");
     }
 
     #[test]
