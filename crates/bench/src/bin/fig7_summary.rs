@@ -606,10 +606,10 @@ fn main() {
         uncoalesced_16.coalesced_queries, 0,
         "the knob-gated path must not coalesce"
     );
-    // The acceptance bar (≥ 2× on the duplicate-heavy mix) is asserted by
-    // the release-mode test suite on reference hosts; here the ratio is
-    // printed so CI logs and BENCH_fig7.json rows carry the evidence
-    // without flaking on loaded shared runners.
+    // No test asserts a bar on this ratio: it is printed so CI logs and
+    // BENCH_fig7.json rows carry the evidence. The verdict memo answers
+    // every check after a pair's first, so only the cold first checks can
+    // coalesce and the ratio reflects that cold phase alone.
     println!(
         "coalescing on/off at 16 clients: {:.1}× requests/sec",
         coalesced_16.requests_per_sec() / uncoalesced_16.requests_per_sec().max(f64::EPSILON)

@@ -77,14 +77,13 @@ impl ThroughputReport {
 /// Build the drive's service with the coalescing knob set.
 ///
 /// The search budget is deliberately large: the hot anchor pair
-/// budget-exhausts (`Unknown`), and a budget-exhausted search re-walks its
-/// candidates on every re-check — memos make each candidate cheaper but the
-/// walk itself is not pair-memoised — so the warm cost stays in the
-/// milliseconds. That is the regime where duplicate concurrent checks
+/// budget-exhausts (`Unknown`) only after a cold search of tens of
+/// milliseconds. Every client opens on that pair, so their first checks
 /// genuinely overlap (even on a single core, where overlap comes from
-/// preemption) and single-flight coalescing has work to absorb; with a tiny
-/// budget every warm check finishes inside one scheduling quantum and the
-/// drive would measure only channel overhead.
+/// preemption) and single-flight coalescing has that search to absorb.
+/// Every later check of a pair is answered by the engine's verdict memo,
+/// so past the cold phase the drive measures the service's queue and
+/// dispatch overhead.
 fn service(coalesce: bool) -> ContainmentService {
     let search = SearchOptions {
         max_candidates: 80_000,

@@ -44,7 +44,8 @@ pub enum CacheKind {
     Pools,
     /// Candidate-validation verdict memos.
     Validate,
-    /// The sharded `(schema, schema)` pair memos (embeds / sufficient).
+    /// The sharded `(schema, schema)` pair memos (embedding and
+    /// containment verdicts).
     Pairs,
     /// The per-schema unfolding sessions (tree arenas + built graphs);
     /// reclaimed wholesale when a schema's pools have all been evicted.

@@ -25,7 +25,12 @@
 //!   graph, and shape-graph embedding verdicts per ordered schema pair. The
 //!   depth-cumulative systematic search re-encounters the same candidates at
 //!   every depth, so even a single one-shot query through a throwaway engine
-//!   validates each distinct candidate once.
+//!   validates each distinct candidate once. Every completed containment
+//!   verdict (witness included) is memoised per ordered pair too: the
+//!   answer is a deterministic function of the pair and the fixed search
+//!   budget, so a repeated check — even one whose search exhausted its
+//!   budget — costs one sharded map lookup instead of a re-walk of the
+//!   pooled candidates.
 //!
 //! # Shared state and concurrency
 //!
@@ -98,7 +103,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -167,11 +172,13 @@ pub struct EngineOptions {
     pub max_entry_bytes: Option<u64>,
     /// Coalesce duplicate concurrent queries: while one thread computes the
     /// verdict for a pair `(h, k)`, other threads asking the same ordered
-    /// pair block on that computation and share its verdict instead of
-    /// re-running the search (and cold enumerated pools are built once, not
-    /// once per racer). Verdicts are deterministic, so coalescing is
-    /// observationally invisible; `true` by default. [`EngineStats`] counts
-    /// the wins in `coalesced_queries` / `coalesced_pools`.
+    /// pair block on that computation — each no longer than its own
+    /// deadline — and share its verdict instead of re-running the search
+    /// (and cold enumerated pools are built once, not once per racer).
+    /// Verdicts are deterministic, so coalescing is observationally
+    /// invisible; `true` by default. The verdict memo does not depend on
+    /// this. [`EngineStats`] counts the wins in `coalesced_queries` /
+    /// `coalesced_pools`.
     pub coalesce: bool,
     /// Presburger solver configuration for every acceptance check the
     /// engine's queries reach (the general sufficient condition and the
@@ -410,6 +417,11 @@ pub struct EngineStats {
     pub pool_hits: u64,
     /// Unfolding pools built.
     pub pools_built: u64,
+    /// Containment verdicts answered from the per-pair verdict memo.
+    pub verdict_hits: u64,
+    /// Containment verdicts actually computed (flight leaders, and every
+    /// query when coalescing is off).
+    pub verdict_misses: u64,
     /// Duplicate concurrent queries answered by waiting on another thread's
     /// in-flight computation of the same ordered pair instead of re-running
     /// the search (single-flight coalescing wins).
@@ -428,7 +440,8 @@ pub struct EngineStats {
     pub pool_bytes: u64,
     /// Accounted bytes resident in the candidate-validation memos.
     pub validate_bytes: u64,
-    /// Accounted bytes resident in the embeds/sufficient pair memos.
+    /// Accounted bytes resident in the per-pair embedding and verdict memos
+    /// (a memoised counter-example is charged at its graph weight).
     pub pair_bytes: u64,
     /// Accounted bytes resident in the per-schema unfolding arenas.
     pub unfolder_bytes: u64,
@@ -499,6 +512,7 @@ impl fmt::Display for EngineStats {
             f,
             "{} schemas; validate memo {} hits / {} misses ({:.1}% hit); \
              embed memo {} hits / {} misses ({:.1}% hit); \
+             verdict memo {} hits / {} misses ({:.1}% hit); \
              pools {} hits / {} built ({:.1}% hit)",
             self.schemas,
             self.validate_hits,
@@ -507,6 +521,9 @@ impl fmt::Display for EngineStats {
             self.embed_hits,
             self.embed_misses,
             hit_rate(self.embed_hits, self.embed_misses),
+            self.verdict_hits,
+            self.verdict_misses,
+            hit_rate(self.verdict_hits, self.verdict_misses),
             self.pool_hits,
             self.pools_built,
             hit_rate(self.pool_hits, self.pools_built),
@@ -574,6 +591,8 @@ struct EngineCounters {
     embed_misses: AtomicU64,
     pool_hits: AtomicU64,
     pools_built: AtomicU64,
+    verdict_hits: AtomicU64,
+    verdict_misses: AtomicU64,
     coalesced_queries: AtomicU64,
     coalesced_pools: AtomicU64,
     deadline_exceeded: AtomicU64,
@@ -598,6 +617,8 @@ impl EngineCounters {
             embed_misses: self.embed_misses.load(Ordering::Relaxed),
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
             pools_built: self.pools_built.load(Ordering::Relaxed),
+            verdict_hits: self.verdict_hits.load(Ordering::Relaxed),
+            verdict_misses: self.verdict_misses.load(Ordering::Relaxed),
             coalesced_queries: self.coalesced_queries.load(Ordering::Relaxed),
             coalesced_pools: self.coalesced_pools.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
@@ -862,64 +883,112 @@ impl Registry {
 /// workers rarely contend on the same shard.
 const PAIR_SHARDS: usize = 16;
 
-/// One memoised pair verdict plus its LRU stamp. The accounted weight is
-/// the flat [`PAIR_ENTRY_BYTES`] — key, slot, and tree-node allowance.
+/// One memoised pair value plus its accounting: the bytes charged to the
+/// ledger at insertion (credited back verbatim on eviction) and the LRU
+/// stamp refreshed on every hit.
 #[derive(Debug)]
-struct PairSlot {
-    verdict: bool,
+struct PairSlot<V> {
+    value: V,
+    bytes: u64,
     stamp: AtomicU64,
 }
 
-/// Accounted bytes per pair-memo entry: key + slot + `BTreeMap` node
-/// allowance. A flat approximation — pair entries are tiny and uniform.
+/// Accounted bytes per pair-memo entry before any payload: key + slot +
+/// `BTreeMap` node allowance. A flat approximation — the slots are small
+/// and uniform.
 const PAIR_ENTRY_BYTES: u64 = 64;
 
-/// A `(SchemaId, SchemaId) → bool` verdict memo sharded across
-/// independently locked maps, so concurrent queries for different pairs
-/// proceed without contending on one lock.
-#[derive(Debug)]
-struct ShardedPairMap {
-    shards: [RwLock<BTreeMap<(u32, u32), PairSlot>>; PAIR_SHARDS],
+/// The accounted weight of one memoised verdict: the flat entry allowance
+/// plus the counter-example graph a `NotContained` verdict carries.
+fn verdict_weight(verdict: &Containment) -> u64 {
+    PAIR_ENTRY_BYTES + verdict.counter_example().map_or(0, Weigh::weight_bytes)
 }
 
-impl ShardedPairMap {
-    fn new() -> ShardedPairMap {
+/// A `(SchemaId, SchemaId) → V` memo sharded across independently locked
+/// maps, so concurrent queries for different pairs proceed without
+/// contending on one lock. Every entry is charged to [`CacheKind::Pairs`]
+/// and takes part in the epoch-LRU sweep.
+#[derive(Debug)]
+struct ShardedPairMap<V> {
+    shards: [PairShard<V>; PAIR_SHARDS],
+}
+
+/// One independently locked shard of a [`ShardedPairMap`].
+type PairShard<V> = RwLock<BTreeMap<(u32, u32), PairSlot<V>>>;
+
+impl<V: Clone> ShardedPairMap<V> {
+    fn new() -> ShardedPairMap<V> {
         ShardedPairMap {
             shards: std::array::from_fn(|_| RwLock::new(BTreeMap::new())),
         }
     }
 
-    fn shard(&self, key: (u32, u32)) -> &RwLock<BTreeMap<(u32, u32), PairSlot>> {
+    fn shard(&self, key: (u32, u32)) -> &PairShard<V> {
         let spread = key.0.wrapping_mul(31).wrapping_add(key.1) as usize;
         &self.shards[spread % PAIR_SHARDS]
     }
 
-    fn get(&self, key: (u32, u32), budget: &CacheBudget) -> Option<bool> {
+    /// The memoised value, refreshing the entry's LRU stamp on a hit.
+    fn get(&self, key: (u32, u32), budget: &CacheBudget) -> Option<V> {
         let shard = read_or_recover(self.shard(key));
         let slot = shard.get(&key)?;
         slot.stamp.store(budget.touch(), Ordering::Relaxed);
-        Some(slot.verdict)
+        Some(slot.value.clone())
     }
 
-    fn insert(&self, key: (u32, u32), verdict: bool, budget: &CacheBudget) {
+    /// Memoise `value`, weighing `bytes` accounted bytes, unless the
+    /// admission policy refuses it or a racing thread stored the pair first
+    /// (values are deterministic, so the first insertion is as good as any).
+    fn insert(&self, key: (u32, u32), value: V, bytes: u64, budget: &CacheBudget) {
         use std::collections::btree_map::Entry;
-        if !budget.admits(PAIR_ENTRY_BYTES) {
-            return; // a sub-64-byte admission ceiling refuses even these
+        if !budget.admits(bytes) {
+            return; // oversized entry: use the value, skip the memo
         }
         let mut shard = write_or_recover(self.shard(key));
         if let Entry::Vacant(slot) = shard.entry(key) {
             slot.insert(PairSlot {
-                verdict,
+                value,
+                bytes,
                 stamp: AtomicU64::new(budget.touch()),
             });
-            budget.charge(CacheKind::Pairs, PAIR_ENTRY_BYTES);
+            budget.charge(CacheKind::Pairs, bytes);
         }
+    }
+
+    /// Push every entry's `(stamp, bytes)` for the sweep's cutoff choice.
+    fn collect_stamps(&self, stamped: &mut Vec<(u64, u64)>) {
+        for shard in &self.shards {
+            for slot in read_or_recover(shard).values() {
+                stamped.push((slot.stamp.load(Ordering::Relaxed), slot.bytes));
+            }
+        }
+    }
+
+    /// Drop every entry stamped at or before `cutoff` (every entry when
+    /// `cutoff` is `u64::MAX`), crediting the ledger; returns
+    /// `(entries, bytes)` freed.
+    fn evict_older_than(&self, cutoff: u64, budget: &CacheBudget) -> (u64, u64) {
+        let (mut evicted, mut freed) = (0u64, 0u64);
+        for shard in &self.shards {
+            write_or_recover(shard).retain(|_, slot| {
+                if slot.stamp.load(Ordering::Relaxed) <= cutoff {
+                    evicted += 1;
+                    freed += slot.bytes;
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        budget.credit(CacheKind::Pairs, freed);
+        (evicted, freed)
     }
 }
 
 /// The lifecycle of one in-flight computation: the leader flips
-/// `Running → Done` on success; the panic guard flips `Running → Abandoned`
-/// if the leader unwinds, so followers retry instead of waiting forever.
+/// `Running → Done` when it has a value to share, or `Running → Abandoned`
+/// when it has none (its own deadline fired, or — via the panic guard — it
+/// unwound), so followers start over instead of waiting forever.
 #[derive(Debug)]
 enum FlightState<V> {
     Running,
@@ -949,17 +1018,30 @@ impl<V> Flight<V> {
     }
 }
 
+/// How often a follower holding a token re-polls it while it waits: bounds
+/// how late an explicit [`CancelToken::cancel`] is observed. A deadline is
+/// observed on time regardless — the wait never outlasts it.
+const FOLLOWER_POLL: Duration = Duration::from_millis(2);
+
 /// A sharded single-flight table: [`SingleFlight::run`] executes `compute`
 /// at most once per key among *concurrent* callers — the first caller (the
 /// leader) computes; everyone else arriving while the flight is up blocks
 /// and shares the leader's value. The entry is removed at publish time, so
-/// the table never grows into a verdict memo: a caller arriving after the
-/// leader landed starts a fresh flight (and typically recomputes warm, off
-/// the underlying memos).
+/// the table only ever holds running computations; whatever should outlive
+/// a flight (the engine's verdict memo) is stored by `compute` before the
+/// flight retires, so a caller arriving after the leader landed finds it
+/// there.
+///
+/// Each follower waits under its own token: when the token fires first, it
+/// leaves the flight alone and starts over (where the fired token answers
+/// it). A leader whose value must not be shared — a verdict cut short by
+/// its own deadline — publishes nothing, exactly like a leader that
+/// unwound, and the followers start over under their own tokens. No caller
+/// ever waits past its own deadline or receives another caller's expiry.
 ///
 /// Correctness leans on determinism: every computation routed through one
-/// key must produce the same value, so handing a follower the leader's copy
-/// is observationally invisible.
+/// key must produce the same shared value, so handing a follower the
+/// leader's copy is observationally invisible.
 #[derive(Debug)]
 struct SingleFlight<K, V> {
     shards: Vec<Mutex<HashMap<K, Arc<Flight<V>>>>>,
@@ -981,11 +1063,21 @@ impl<K: Eq + Hash + Copy, V: Clone> SingleFlight<K, V> {
     }
 
     /// Run `compute` for `key`, coalescing with any concurrent caller of the
-    /// same key: the leader computes, followers wait and receive a clone of
-    /// the leader's value (ticking `coalesced` once per follower). `compute`
-    /// runs outside every flight lock and must not re-enter this table (a
-    /// nested `run` on the same table could deadlock on its own flight).
-    fn run(&self, key: K, compute: impl FnOnce() -> V, coalesced: &AtomicU64) -> V {
+    /// same key. The leader computes: `Ok(value)` is published to every
+    /// follower, `Err(value)` goes to the leader alone and abandons the
+    /// flight. A follower receives a clone of the published value (ticking
+    /// `coalesced` once). `None` means this caller got no value — the flight
+    /// it followed was abandoned, or its own `cancel` token fired while it
+    /// waited — and should start over. `compute` runs outside every flight
+    /// lock and must not re-enter this table (a nested `run` on the same
+    /// table could deadlock on its own flight).
+    fn run(
+        &self,
+        key: K,
+        cancel: Option<&CancelToken>,
+        compute: impl FnOnce() -> Result<V, V>,
+        coalesced: &AtomicU64,
+    ) -> Option<V> {
         use std::collections::hash_map::Entry;
         let flight = {
             let mut shard = lock_or_recover(self.shard(&key));
@@ -997,47 +1089,58 @@ impl<K: Eq + Hash + Copy, V: Clone> SingleFlight<K, V> {
                 }
             }
         };
-        match flight {
-            Some(flight) => {
-                // Follower: block until the leader publishes.
-                let mut state = lock_or_recover(&flight.state);
-                loop {
-                    match &*state {
-                        FlightState::Running => {
-                            state = flight
-                                .ready
-                                .wait(state)
-                                .unwrap_or_else(PoisonError::into_inner);
-                        }
-                        FlightState::Done(value) => {
-                            EngineCounters::tick(coalesced);
-                            return value.clone();
-                        }
-                        // The leader unwound without a value; compute
-                        // directly rather than racing to lead a new flight.
-                        FlightState::Abandoned => break,
-                    }
-                }
-                drop(state);
-                compute()
+        let Some(flight) = flight else {
+            // Leader: compute outside the locks, then publish. The guard
+            // abandons the flight if `compute` unwinds.
+            let mut guard = FlightGuard {
+                table: self,
+                key,
+                armed: true,
+            };
+            let outcome = compute();
+            // Retire the entry first so late arrivals start a fresh flight
+            // instead of adopting a finished one, then wake the followers
+            // already holding the Arc.
+            if let Some(flight) = lock_or_recover(self.shard(&key)).remove(&key) {
+                flight.publish(match &outcome {
+                    Ok(value) => FlightState::Done(value.clone()),
+                    Err(_) => FlightState::Abandoned,
+                });
             }
-            None => {
-                // Leader: compute outside the locks, then publish. The
-                // guard abandons the flight if `compute` unwinds.
-                let mut guard = FlightGuard {
-                    table: self,
-                    key,
-                    armed: true,
-                };
-                let value = compute();
-                // Retire the entry first so late arrivals start a fresh
-                // flight instead of adopting a finished one, then wake the
-                // followers already holding the Arc.
-                if let Some(flight) = lock_or_recover(self.shard(&key)).remove(&key) {
-                    flight.publish(FlightState::Done(value.clone()));
+            guard.armed = false;
+            return Some(outcome.unwrap_or_else(|unshared| unshared));
+        };
+        // Follower: block until the leader publishes or this caller's own
+        // token fires, whichever comes first.
+        let mut state = lock_or_recover(&flight.state);
+        loop {
+            match &*state {
+                FlightState::Done(value) => {
+                    EngineCounters::tick(coalesced);
+                    return Some(value.clone());
                 }
-                guard.armed = false;
-                value
+                FlightState::Abandoned => return None,
+                FlightState::Running => match cancel {
+                    None => {
+                        state = flight
+                            .ready
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                    Some(token) if token.fired() => return None,
+                    Some(token) => {
+                        let slice = token.deadline().map_or(FOLLOWER_POLL, |deadline| {
+                            deadline
+                                .saturating_duration_since(Instant::now())
+                                .min(FOLLOWER_POLL)
+                        });
+                        state = flight
+                            .ready
+                            .wait_timeout(state, slice)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0;
+                    }
+                },
             }
         }
     }
@@ -1101,16 +1204,16 @@ pub struct ContainmentEngine {
     labels: SharedLabelTable,
     registry: RwLock<Registry>,
     /// `(h, k) → whether the shape graph of h embeds in the one of k`.
-    embeds_memo: ShardedPairMap,
-    /// `(h, k) → whether the general sufficient condition holds`.
-    sufficient_memo: ShardedPairMap,
+    embeds_memo: ShardedPairMap<bool>,
+    /// `(h, k) → the completed containment verdict` (never a deadline
+    /// expiry): a repeated query is answered here without a search.
+    verdict_memo: ShardedPairMap<Containment>,
     /// In-flight `(h, k)` verdict computations (single-flight coalescing,
     /// [`EngineOptions::coalesce`]): sharded like the pair memos so
-    /// concurrent queries for different pairs never contend. Full verdicts
-    /// are deliberately *not* memoised — the bounded search re-runs per call
-    /// over warm memos — so coalescing duplicate concurrent checks is what
-    /// keeps a thundering herd of identical queries from multiplying that
-    /// warm re-walk.
+    /// concurrent queries for different pairs never contend. The memo
+    /// answers every query after the first completed one; the flights keep
+    /// a thundering herd of identical *cold* queries from multiplying that
+    /// first search.
     query_flights: SingleFlight<(u32, u32), Containment>,
     counters: EngineCounters,
     /// The accounted-byte ledger and eviction bookkeeping behind
@@ -1158,7 +1261,7 @@ impl ContainmentEngine {
             labels: SharedLabelTable::new(),
             registry: RwLock::new(Registry::default()),
             embeds_memo: ShardedPairMap::new(),
-            sufficient_memo: ShardedPairMap::new(),
+            verdict_memo: ShardedPairMap::new(),
             query_flights: SingleFlight::new(PAIR_SHARDS),
             counters: EngineCounters::default(),
             budget,
@@ -1317,7 +1420,7 @@ impl ContainmentEngine {
     /// [`ContainmentEngine::check`] for already-registered schemas.
     pub fn check_ids(&self, h: SchemaId, k: SchemaId) -> Containment {
         let entries = self.entries(&[h, k]);
-        self.coalesced_entries(h, k, &entries[0], &entries[1], true)
+        self.query(h, k, &entries[0], &entries[1], true, None)
     }
 
     /// [`ContainmentEngine::check`] under a wall-clock deadline.
@@ -1329,9 +1432,10 @@ impl ContainmentEngine {
     /// abandons its current branch and returns
     /// [`crate::UnknownReason::DeadlineExceeded`] instead of wedging a
     /// worker for the rest of its budget. A counter-example certified
-    /// before the expiry was observed still stands. Caches only ever record
-    /// completed verdicts, so concurrent undeadlined queries are
-    /// bit-identical to an engine that never saw a deadline.
+    /// before the expiry was observed still stands. Caches — the verdict
+    /// memo included — only ever record completed verdicts, so concurrent
+    /// undeadlined queries are bit-identical to an engine that never saw a
+    /// deadline.
     pub fn check_deadline(&self, h: &Schema, k: &Schema, timeout: Duration) -> Containment {
         let h = self.register(h);
         let k = self.register(k);
@@ -1349,9 +1453,12 @@ impl ContainmentEngine {
     /// [`crate::UnknownReason::DeadlineExceeded`] within one checkpoint
     /// interval.
     ///
-    /// Cancellable queries bypass the single-flight query coalescing: a
-    /// follower must never inherit another caller's deadline verdict, and a
-    /// leader's expiry must never become a follower's answer.
+    /// The query takes the same path as an undeadlined one: an already
+    /// fired token answers first (even when the verdict is memoised), then
+    /// the verdict memo, then the single-flight table. As a follower it
+    /// waits for another caller's search only until its own token fires; as
+    /// a leader whose token fires it shares and memoises nothing, so its
+    /// expiry never becomes anyone else's answer.
     pub fn check_ids_cancellable(
         &self,
         h: SchemaId,
@@ -1359,19 +1466,7 @@ impl ContainmentEngine {
         cancel: &CancelToken,
     ) -> Containment {
         let entries = self.entries(&[h, k]);
-        let verdict = self.general_entries(h, k, &entries[0], &entries[1], true, Some(cancel));
-        self.count_deadline(verdict)
-    }
-
-    /// Tick the deadline counter when a verdict reports an expired deadline.
-    fn count_deadline(&self, verdict: Containment) -> Containment {
-        if matches!(
-            verdict.unknown_reason(),
-            Some(crate::UnknownReason::DeadlineExceeded { .. })
-        ) {
-            EngineCounters::tick(&self.counters.deadline_exceeded);
-        }
-        verdict
+        self.query(h, k, &entries[0], &entries[1], true, Some(cancel))
     }
 
     /// Batch pairwise containment: `matrix[i][j]` answers
@@ -1422,23 +1517,15 @@ impl ContainmentEngine {
         self.matrix_ids_with(ids, Some(&CancelToken::with_timeout(timeout)))
     }
 
-    /// The matrix engine behind both entry points: `cancel` is threaded into
-    /// every cell (row workers included); cancellable cells skip query
-    /// coalescing like [`ContainmentEngine::check_ids_cancellable`].
+    /// The matrix engine behind both entry points: every cell (row workers
+    /// included) is one query under the shared `cancel` token, on the path
+    /// of [`ContainmentEngine::check_ids_cancellable`].
     fn matrix_ids_with(&self, ids: &[SchemaId], cancel: Option<&CancelToken>) -> ContainmentMatrix {
         // One registry lock acquisition for the whole matrix; the N² cells
         // work off these prefetched entries.
         let entries = self.entries(ids);
-        let cell = |i: usize, j: usize, fan_out: bool| match cancel {
-            None => self.coalesced_entries(ids[i], ids[j], &entries[i], &entries[j], fan_out),
-            Some(token) if token.fired() => {
-                self.count_deadline(Containment::deadline_exceeded(token.elapsed()))
-            }
-            Some(_) => {
-                let verdict =
-                    self.general_entries(ids[i], ids[j], &entries[i], &entries[j], fan_out, cancel);
-                self.count_deadline(verdict)
-            }
+        let cell = |i: usize, j: usize, fan_out: bool| {
+            self.query(ids[i], ids[j], &entries[i], &entries[j], fan_out, cancel)
         };
         let workers = self.options.matrix_threads.max(1).min(ids.len().max(1));
         if workers <= 1 {
@@ -1480,21 +1567,15 @@ impl ContainmentEngine {
 
     /// The session equivalent of [`crate::shex0::shex0_containment`].
     pub fn shex0(&self, h: &Schema, k: &Schema) -> Containment {
-        // Routed through the same coalesced dispatcher as `check`: the two
-        // pipelines delegate to each other on class mismatch, so for every
-        // pair they compute the identical verdict and may share one flight.
-        let h = self.register(h);
-        let k = self.register(k);
-        let entries = self.entries(&[h, k]);
-        self.coalesced_entries(h, k, &entries[0], &entries[1], true)
+        // The ShEx₀ pipeline hands ShEx pairs to the general one and the
+        // general pipeline hands RBE₀ pairs to ShEx₀, so both compute the
+        // same verdict for every pair: one query path, one memo entry.
+        self.check(h, k)
     }
 
     /// The session equivalent of [`crate::general::general_containment`].
     pub fn general(&self, h: &Schema, k: &Schema) -> Containment {
-        let h = self.register(h);
-        let k = self.register(k);
-        let entries = self.entries(&[h, k]);
-        self.coalesced_entries(h, k, &entries[0], &entries[1], true)
+        self.check(h, k)
     }
 
     /// The session equivalent of [`crate::det::det_containment`]: polynomial
@@ -1542,42 +1623,23 @@ impl ContainmentEngine {
             .witness
     }
 
-    /// The single-flight seam of every `(h, k)` verdict query: while one
-    /// thread runs the dispatch chain for an ordered pair, duplicate
-    /// concurrent queries for the same pair block on that computation and
-    /// share its verdict ([`EngineStats::coalesced_queries`] counts them).
-    /// Sound because verdicts are deterministic functions of the registered
-    /// pair — and because [`ContainmentEngine::shex0_entries`] and
-    /// [`ContainmentEngine::general_entries`] delegate to each other on
-    /// class mismatch, every public query route computes the same verdict
-    /// for a given pair, so one flight key serves them all. `fan_out` only
-    /// shapes parallelism, never the answer. Disabled (straight
-    /// pass-through) when [`EngineOptions::coalesce`] is off.
-    fn coalesced_entries(
-        &self,
-        h: SchemaId,
-        k: SchemaId,
-        h_entry: &Arc<SchemaEntry>,
-        k_entry: &Arc<SchemaEntry>,
-        fan_out: bool,
-    ) -> Containment {
-        if !self.options.coalesce {
-            return self.general_entries(h, k, h_entry, k_entry, fan_out, None);
-        }
-        self.query_flights.run(
-            (h.0, k.0),
-            || self.general_entries(h, k, h_entry, k_entry, fan_out, None),
-            &self.counters.coalesced_queries,
-        )
-    }
-
-    /// The `ShEx₀` procedure over registered schemas (Section 5 pipeline:
-    /// embedding, characterizing-graph shortcut, bounded search). The
-    /// caller supplies the already-fetched entries — the dispatch chain
-    /// touches the registry lock once per query, not once per hop —
-    /// and `fan_out` gates the per-cell validation worker pool (disabled
-    /// inside matrix row workers).
-    fn shex0_entries(
+    /// The one path of every `(h, k)` verdict query, in this order:
+    ///
+    /// 1. a `cancel` token that has already fired answers
+    ///    [`crate::UnknownReason::DeadlineExceeded`] — even for a memoised
+    ///    pair, since the caller asked for an answer by a time that has
+    ///    passed;
+    /// 2. the verdict memo answers a pair whose verdict completed before;
+    /// 3. otherwise the caller joins or leads the pair's flight
+    ///    ([`EngineOptions::coalesce`]; off, every caller computes), and
+    ///    the leader memoises its verdict before the flight retires.
+    ///
+    /// A caller left without a value — its flight's leader published none,
+    /// or its own token fired while it waited — starts over at step 1. Sound
+    /// because verdicts are deterministic functions of the registered pair
+    /// and the engine's fixed search budget; `fan_out` only shapes
+    /// parallelism, never the answer.
+    fn query(
         &self,
         h: SchemaId,
         k: SchemaId,
@@ -1586,27 +1648,76 @@ impl ContainmentEngine {
         fan_out: bool,
         cancel: Option<&CancelToken>,
     ) -> Containment {
-        if h_entry.class == SchemaClass::ShEx || k_entry.class == SchemaClass::ShEx {
-            return self.general_entries(h, k, h_entry, k_entry, fan_out, cancel);
+        let key = (h.0, k.0);
+        let verdict = loop {
+            if let Some(token) = cancel.filter(|token| token.fired()) {
+                break Containment::deadline_exceeded(token.elapsed());
+            }
+            if let Some(verdict) = self.memoised_verdict(key) {
+                break verdict;
+            }
+            let compute = || self.compute_verdict(h, k, h_entry, k_entry, fan_out, cancel);
+            if !self.options.coalesce {
+                break compute().unwrap_or_else(|expired| expired);
+            }
+            let flown =
+                self.query_flights
+                    .run(key, cancel, compute, &self.counters.coalesced_queries);
+            if let Some(verdict) = flown {
+                break verdict;
+            }
+        };
+        if deadline_expired(&verdict) {
+            EngineCounters::tick(&self.counters.deadline_exceeded);
         }
-        if self.embeds_cached(h, k, h_entry, k_entry) {
-            return Containment::Contained;
-        }
-        if h_entry.class == SchemaClass::DetShEx0Minus
-            && k_entry.class == SchemaClass::DetShEx0Minus
-        {
-            let witness = self.characterizing(h_entry).expect("checked DetShEx0-");
-            return Containment::not_contained(witness);
-        }
-        self.search_ids(h_entry, k_entry, fan_out, cancel)
-            .into_containment()
+        verdict
     }
 
-    /// The general procedure over registered schemas (Section 6 pipeline:
-    /// delegation to ShEx₀, type-simulation sufficient check, bounded
-    /// search), over caller-fetched entries like
-    /// [`ContainmentEngine::shex0_entries`].
-    fn general_entries(
+    /// The memoised verdict of a pair, ticking `verdict_hits` on a hit.
+    fn memoised_verdict(&self, key: (u32, u32)) -> Option<Containment> {
+        let verdict = self.verdict_memo.get(key, &self.budget)?;
+        EngineCounters::tick(&self.counters.verdict_hits);
+        Some(verdict)
+    }
+
+    /// Compute one pair's verdict and memoise it if it completed. `Ok` is a
+    /// completed verdict, which a flight shares with its followers; `Err` is
+    /// a deadline expiry, which only its own caller sees.
+    fn compute_verdict(
+        &self,
+        h: SchemaId,
+        k: SchemaId,
+        h_entry: &Arc<SchemaEntry>,
+        k_entry: &Arc<SchemaEntry>,
+        fan_out: bool,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Containment, Containment> {
+        let key = (h.0, k.0);
+        // A flight that landed between this caller's memo miss and its
+        // leadership has memoised the verdict already.
+        if let Some(verdict) = self.memoised_verdict(key) {
+            return Ok(verdict);
+        }
+        EngineCounters::tick(&self.counters.verdict_misses);
+        let verdict = self.decide(h, k, h_entry, k_entry, fan_out, cancel);
+        if deadline_expired(&verdict) {
+            return Err(verdict);
+        }
+        self.verdict_memo
+            .insert(key, verdict.clone(), verdict_weight(&verdict), &self.budget);
+        self.maybe_evict();
+        Ok(verdict)
+    }
+
+    /// The decision procedures over registered schemas, strongest first.
+    /// Two RBE₀ schemas take the ShEx₀ pipeline of Section 5: embedding,
+    /// then the characterizing graph when both are `DetShEx₀⁻`. Any other
+    /// pair takes the general pipeline of Section 6: the type-simulation
+    /// sufficient check. Both end in the bounded counter-example search.
+    /// The caller supplies the already-fetched entries, so a query touches
+    /// the registry lock once; `fan_out` gates the per-cell validation
+    /// worker pool (disabled inside matrix row workers).
+    fn decide(
         &self,
         h: SchemaId,
         k: SchemaId,
@@ -1615,17 +1726,18 @@ impl ContainmentEngine {
         fan_out: bool,
         cancel: Option<&CancelToken>,
     ) -> Containment {
-        if cancel.is_some_and(|t| t.fired()) {
-            // An already-expired deadline skips even the cheap pipeline
-            // stages: the caller asked for an answer by a time that has
-            // passed.
-            return Containment::deadline_exceeded(cancel.expect("checked above").elapsed());
-        }
         let both_rbe0 = h_entry.class != SchemaClass::ShEx && k_entry.class != SchemaClass::ShEx;
         if both_rbe0 {
-            return self.shex0_entries(h, k, h_entry, k_entry, fan_out, cancel);
-        }
-        if self.sufficient_cached(h, k, h_entry, k_entry) {
+            if self.embeds_cached(h, k, h_entry, k_entry) {
+                return Containment::Contained;
+            }
+            if h_entry.class == SchemaClass::DetShEx0Minus
+                && k_entry.class == SchemaClass::DetShEx0Minus
+            {
+                let witness = self.characterizing(h_entry).expect("checked DetShEx0-");
+                return Containment::not_contained(witness);
+            }
+        } else if self.sufficient(h_entry, k_entry) {
             return Containment::Contained;
         }
         self.search_ids(h_entry, k_entry, fan_out, cancel)
@@ -1655,7 +1767,8 @@ impl ContainmentEngine {
             .as_ref()
             .expect("RBE0 schema has a shape graph");
         let v = embeds(hg, kg).is_some();
-        self.embeds_memo.insert((h.0, k.0), v, &self.budget);
+        self.embeds_memo
+            .insert((h.0, k.0), v, PAIR_ENTRY_BYTES, &self.budget);
         self.maybe_evict();
         v
     }
@@ -1675,20 +1788,12 @@ impl ContainmentEngine {
         Ok(graph.clone())
     }
 
-    /// Whether the general sufficient condition holds for `(h, k)`
-    /// (memoised), with the exhaustive bag enumeration of `h` cached across
-    /// partners.
-    fn sufficient_cached(
-        &self,
-        h: SchemaId,
-        k: SchemaId,
-        h_entry: &SchemaEntry,
-        k_entry: &SchemaEntry,
-    ) -> bool {
-        if let Some(v) = self.sufficient_memo.get((h.0, k.0), &self.budget) {
-            return v;
-        }
-        let v = match self.exhaustive_bags_cached(h_entry) {
+    /// Whether the general sufficient condition holds for `(h, k)`, with the
+    /// exhaustive bag enumeration of `h` cached across partners. Not
+    /// memoised per pair: only a verdict computation asks, and the verdict
+    /// memo keeps what it decided.
+    fn sufficient(&self, h_entry: &SchemaEntry, k_entry: &SchemaEntry) -> bool {
+        match self.exhaustive_bags_cached(h_entry) {
             None => false,
             Some(bags) => type_simulation_with_bags(
                 &h_entry.schema,
@@ -1697,10 +1802,7 @@ impl ContainmentEngine {
                 self.session.solver,
                 self.session.telemetry.as_deref(),
             ),
-        };
-        self.sufficient_memo.insert((h.0, k.0), v, &self.budget);
-        self.maybe_evict();
-        v
+        }
     }
 
     fn exhaustive_bags_cached(&self, entry: &SchemaEntry) -> CachedBags {
@@ -1889,10 +1991,15 @@ impl ContainmentEngine {
         opts: &SearchOptions,
         cancel: Option<&CancelToken>,
     ) -> Option<Pool> {
-        if let Some(slot) = read_or_recover(&h.enumerated).get(&(root, depth)) {
+        let cached = || {
+            let pools = read_or_recover(&h.enumerated);
+            let slot = pools.get(&(root, depth))?;
             EngineCounters::tick(&self.counters.pool_hits);
             slot.stamp.store(self.budget.touch(), Ordering::Relaxed);
-            return Some(slot.pool.clone());
+            Some(slot.pool.clone())
+        };
+        if let Some(pool) = cached() {
+            return Some(pool);
         }
         if cancel.is_some() || !self.options.coalesce {
             // Cancellable builders skip the pool flight: a cancelled leader
@@ -1902,22 +2009,26 @@ impl ContainmentEngine {
         }
         // Cold pool: coalesce concurrent demanders onto one construction.
         // Without the flight they would all queue on the unfolder lock and
-        // each rebuild the pool only to race-adopt the first insertion.
-        Some(h.pool_flights.run(
-            (root, depth),
-            || {
-                // A flight that landed between our cache miss and our
-                // leadership may have filled the slot already.
-                if let Some(slot) = read_or_recover(&h.enumerated).get(&(root, depth)) {
-                    EngineCounters::tick(&self.counters.pool_hits);
-                    slot.stamp.store(self.budget.touch(), Ordering::Relaxed);
-                    return slot.pool.clone();
-                }
-                self.build_enumerated_pool(h, root, depth, opts, None)
-                    .expect("an uncancelled pool build cannot be cancelled")
-            },
-            &self.counters.coalesced_pools,
-        ))
+        // each rebuild the pool only to race-adopt the first insertion. A
+        // flight whose leader unwound hands back nothing: start over.
+        loop {
+            let flown = h.pool_flights.run(
+                (root, depth),
+                None,
+                || {
+                    // A flight that landed between our cache miss and our
+                    // leadership may have filled the slot already.
+                    Ok(cached().unwrap_or_else(|| {
+                        self.build_enumerated_pool(h, root, depth, opts, None)
+                            .expect("an uncancelled pool build cannot be cancelled")
+                    }))
+                },
+                &self.counters.coalesced_pools,
+            );
+            if flown.is_some() {
+                return flown;
+            }
+        }
     }
 
     /// Actually build (and cache, admission permitting) one enumerated
@@ -2301,13 +2412,8 @@ impl ContainmentEngine {
                 }
             }
         }
-        for memo in [&self.embeds_memo, &self.sufficient_memo] {
-            for shard in &memo.shards {
-                for slot in read_or_recover(shard).values() {
-                    stamped.push((slot.stamp.load(Ordering::Relaxed), PAIR_ENTRY_BYTES));
-                }
-            }
-        }
+        self.embeds_memo.collect_stamps(&mut stamped);
+        self.verdict_memo.collect_stamps(&mut stamped);
         self.session.bags.collect_stamps(&mut stamped);
         stamped.sort_unstable();
         let low_water = limit / 2;
@@ -2375,19 +2481,12 @@ impl ContainmentEngine {
                 });
             }
         }
-        for memo in [&self.embeds_memo, &self.sufficient_memo] {
-            for shard in &memo.shards {
-                write_or_recover(shard).retain(|_, slot| {
-                    if slot.stamp.load(Ordering::Relaxed) <= cutoff {
-                        evicted += 1;
-                        freed += PAIR_ENTRY_BYTES;
-                        self.budget.credit(CacheKind::Pairs, PAIR_ENTRY_BYTES);
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
+        for (entries, bytes) in [
+            self.embeds_memo.evict_older_than(cutoff, &self.budget),
+            self.verdict_memo.evict_older_than(cutoff, &self.budget),
+        ] {
+            evicted += entries;
+            freed += bytes;
         }
         {
             // Shared bag enumerations are pure memos too: per-unfolder
@@ -2444,15 +2543,12 @@ impl ContainmentEngine {
                 }
             }
         }
-        for memo in [&self.embeds_memo, &self.sufficient_memo] {
-            for shard in &memo.shards {
-                let mut shard = write_or_recover(shard);
-                let drained = std::mem::take(&mut *shard);
-                evicted += drained.len() as u64;
-                freed += drained.len() as u64 * PAIR_ENTRY_BYTES;
-                self.budget
-                    .credit(CacheKind::Pairs, drained.len() as u64 * PAIR_ENTRY_BYTES);
-            }
+        for (entries, bytes) in [
+            self.embeds_memo.evict_older_than(u64::MAX, &self.budget),
+            self.verdict_memo.evict_older_than(u64::MAX, &self.budget),
+        ] {
+            evicted += entries;
+            freed += bytes;
         }
         {
             let (entries, bytes) = self.session.bags.clear();
@@ -2462,6 +2558,15 @@ impl ContainmentEngine {
         }
         self.budget.record_sweep(evicted, freed);
     }
+}
+
+/// Whether a verdict reports an expired deadline — the one answer that is
+/// never memoised or shared.
+fn deadline_expired(verdict: &Containment) -> bool {
+    matches!(
+        verdict.unknown_reason(),
+        Some(crate::UnknownReason::DeadlineExceeded { .. })
+    )
 }
 
 /// The `DetShEx₀⁻` gate shared by the det pipeline and the characterizing
@@ -2645,23 +2750,70 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_caches() {
-        // A contained-but-unknown pair: the search exhausts its budget, so
-        // the second identical query must be answered from warm pools and
-        // memos without a single fresh validation.
+        // A pair only the bounded search refutes (no embedding, not
+        // DetShEx0-): the second identical query must be answered from the
+        // verdict memo without a single fresh validation or pool lookup.
         let h = parse_schema("Root -> p::A, p::B\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
         let k = parse_schema("Root -> p::A, p::A\nA -> a::L?\nB -> b::L?\nL -> EMPTY\n").unwrap();
         let engine = quick_engine();
         let first = engine.shex0(&h, &k);
         let after_first = engine.stats();
         assert!(after_first.validate_misses > 0);
+        assert_eq!(
+            (after_first.verdict_hits, after_first.verdict_misses),
+            (0, 1)
+        );
         let second = engine.shex0(&h, &k);
         let after_second = engine.stats();
+        assert_eq!(
+            after_second.verdict_hits,
+            after_first.verdict_hits + 1,
+            "the repeated check must be a verdict-memo hit"
+        );
+        assert_eq!(after_second.verdict_misses, after_first.verdict_misses);
         assert_eq!(
             after_second.validate_misses, after_first.validate_misses,
             "warm session must not validate anything again"
         );
-        assert!(after_second.pool_hits > after_first.pool_hits);
+        assert_eq!(after_second.pools_built, after_first.pools_built);
+        assert_eq!(
+            after_second.pool_hits, after_first.pool_hits,
+            "a memoised verdict walks no pool"
+        );
         assert_eq!(format!("{first}"), format!("{second}"));
+        // The counter-example search is not verdict-memoised: it re-walks
+        // the warm pools, validating nothing again, to the same witness.
+        let witness = engine.counter_example(&h, &k).expect("the search refutes");
+        assert_eq!(
+            Some(witness.to_string()),
+            first.counter_example().map(|w| w.to_string())
+        );
+        let after_search = engine.stats();
+        assert!(after_search.pool_hits > after_second.pool_hits);
+        assert_eq!(after_search.pools_built, after_second.pools_built);
+        assert_eq!(after_search.validate_misses, after_second.validate_misses);
+    }
+
+    #[test]
+    fn expired_deadline_answers_first_even_for_a_memoised_verdict() {
+        let h = parse_schema("T -> p::L*\nL -> EMPTY\n").unwrap();
+        let k = parse_schema("T -> p::L?\nL -> EMPTY\n").unwrap();
+        let engine = quick_engine();
+        let (ih, ik) = (engine.register(&h), engine.register(&k));
+        let verdict = engine.check_ids(ih, ik);
+        assert!(verdict.is_not_contained(), "{verdict}");
+        let expired = engine.check_ids_deadline(ih, ik, Duration::ZERO);
+        assert!(deadline_expired(&expired), "{expired}");
+        let stats = engine.stats();
+        assert_eq!(stats.verdict_hits, 0, "the fired token answers first");
+        assert_eq!(stats.deadline_exceeded, 1);
+        // A live deadline is answered from the memo, witness and all.
+        let memoised = engine.check_ids_deadline(ih, ik, Duration::from_secs(3600));
+        assert_eq!(
+            memoised.counter_example().map(|w| w.to_string()),
+            verdict.counter_example().map(|w| w.to_string())
+        );
+        assert_eq!(engine.stats().verdict_hits, 1);
     }
 
     #[test]
@@ -3084,16 +3236,19 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        table.run(
-                            (7, 9),
-                            || {
-                                computed.fetch_add(1, Ordering::Relaxed);
-                                // Outlast the followers' walk to the wait.
-                                std::thread::sleep(std::time::Duration::from_millis(100));
-                                42
-                            },
-                            &coalesced,
-                        )
+                        table
+                            .run(
+                                (7, 9),
+                                None,
+                                || {
+                                    computed.fetch_add(1, Ordering::Relaxed);
+                                    // Outlast the followers' walk to the wait.
+                                    std::thread::sleep(std::time::Duration::from_millis(100));
+                                    Ok(42)
+                                },
+                                &coalesced,
+                            )
+                            .expect("nothing abandons this flight")
                     })
                 })
                 .collect();
@@ -3123,7 +3278,8 @@ mod tests {
             std::thread::spawn(move || {
                 table.run(
                     (1, 2),
-                    || {
+                    None,
+                    || -> Result<u64, u64> {
                         std::thread::sleep(std::time::Duration::from_millis(50));
                         panic!("leader dies mid-flight")
                     },
@@ -3133,10 +3289,55 @@ mod tests {
         };
         // Give the leader time to take the flight, then follow it.
         std::thread::sleep(std::time::Duration::from_millis(10));
-        let follower = table.run((1, 2), || 7, &coalesced);
-        assert_eq!(follower, 7, "follower recomputes after an abandoned flight");
+        assert_eq!(
+            table.run((1, 2), None, || Ok(7), &coalesced),
+            None,
+            "the follower of an abandoned flight is told to start over"
+        );
+        assert_eq!(
+            table.run((1, 2), None, || Ok(7), &coalesced),
+            Some(7),
+            "starting over leads a fresh flight"
+        );
         assert!(leader.join().is_err(), "leader panicked");
         assert!(table.shards[0].lock().unwrap().is_empty());
+        assert_eq!(coalesced.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn single_flight_followers_leave_at_their_own_deadline() {
+        let table: SingleFlight<(u32, u32), u64> = SingleFlight::new(1);
+        let coalesced = AtomicU64::new(0);
+        let release = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                table.run(
+                    (3, 4),
+                    None,
+                    || {
+                        release.wait();
+                        std::thread::sleep(std::time::Duration::from_millis(200));
+                        Err(5)
+                    },
+                    &coalesced,
+                )
+            });
+            release.wait();
+            let started = std::time::Instant::now();
+            let token = CancelToken::with_timeout(Duration::from_millis(20));
+            let follower = table.run((3, 4), Some(&token), || Ok(6), &coalesced);
+            assert_eq!(follower, None, "an expired follower gets no value");
+            let waited = started.elapsed();
+            assert!(waited >= Duration::from_millis(20), "{waited:?}");
+            assert!(waited < Duration::from_millis(150), "{waited:?}");
+            assert_eq!(
+                leader.join().unwrap(),
+                Some(5),
+                "an unshared value still reaches its own leader"
+            );
+        });
+        assert!(table.shards[0].lock().unwrap().is_empty());
+        assert_eq!(coalesced.load(Ordering::Relaxed), 0);
     }
 
     #[test]

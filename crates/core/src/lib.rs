@@ -23,8 +23,8 @@
 //!   coNEXP-hard).
 //! * [`engine`] — the shared-state query session over all of the above:
 //!   `ContainmentEngine` registers schemas once and memoises shape graphs,
-//!   unfolding pools, and validation/embedding verdicts behind `&self`
-//!   concurrent caches, so one engine (typically in an `Arc`) serves
+//!   unfolding pools, validation/embedding verdicts, and completed
+//!   containment verdicts behind `&self` concurrent caches, so one engine (typically in an `Arc`) serves
 //!   batch matrices, parallel rows, and long-lived services.
 //! * [`simulation`] — the worklist + bitset simulation engine behind
 //!   [`embedding`]: dense bitset relation, joint interned-label space, and

@@ -8,14 +8,16 @@
 //! than debug-build lockstep.
 
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use shapex_core::engine::{ContainmentEngine, EngineOptions};
+use shapex_core::cancel::CancelToken;
+use shapex_core::engine::{ContainmentEngine, EngineOptions, SchemaId};
 use shapex_core::unfold::SearchOptions;
-use shapex_core::Containment;
+use shapex_core::{Containment, UnknownReason};
 use shapex_graph::generate::GraphGen;
 use shapex_shex::{parse_schema, Schema};
 
@@ -61,12 +63,11 @@ fn heavy() -> SearchOptions {
     }
 }
 
-/// Eight threads issue the identical check simultaneously; the engine's own
-/// counters prove exactly one search ran: seven queries coalesced, and the
-/// hammered engine did precisely the pool builds and validation misses of a
-/// fresh engine answering the check once.
-#[test]
-fn eight_identical_checks_run_one_search() {
+/// Eight threads issue the identical check simultaneously through `check`;
+/// the engine's own counters prove exactly one search ran: seven queries
+/// coalesced, and the hammered engine did precisely the pool builds and
+/// validation misses of a fresh engine answering the check once.
+fn hammer(check: impl Fn(&ContainmentEngine, SchemaId, SchemaId) -> Containment + Sync) {
     let h = bug_tracker();
     let k = bug_tracker_split();
 
@@ -93,9 +94,10 @@ fn eight_identical_checks_run_one_search() {
             .map(|_| {
                 let engine = &engine;
                 let barrier = &barrier;
+                let check = &check;
                 scope.spawn(move || {
                     barrier.wait();
-                    engine.check_ids(ids.0, ids.1)
+                    check(engine, ids.0, ids.1)
                 })
             })
             .collect();
@@ -125,6 +127,87 @@ fn eight_identical_checks_run_one_search() {
         stats.validate_misses, reference_stats.validate_misses,
         "eight concurrent checks must validate like a single check: {stats}"
     );
+}
+
+#[test]
+fn eight_identical_checks_run_one_search() {
+    hammer(|engine, h, k| engine.check_ids(h, k));
+}
+
+/// The hammer again with every check under a (distant) deadline: deadlined
+/// queries take the same flights as undeadlined ones.
+#[test]
+fn eight_identical_deadlined_checks_run_one_search() {
+    hammer(|engine, h, k| engine.check_ids_deadline(h, k, Duration::from_secs(3600)));
+}
+
+/// A leader whose own token fires while followers with distant deadlines
+/// wait on its flight: the leader alone gets `DeadlineExceeded`; the flight
+/// shares nothing, so the followers start over, one of them searches again,
+/// and all of them get the uncontended verdict, which the memo then holds.
+#[test]
+fn a_cancelled_leader_shares_nothing_and_its_followers_recompute() {
+    let h = bug_tracker();
+    let k = bug_tracker_split();
+    let reference = ContainmentEngine::with_search(heavy()).check(&h, &k);
+
+    const FOLLOWERS: usize = 3;
+    let engine = ContainmentEngine::with_options(EngineOptions::default().with_search(heavy()));
+    let (ih, ik) = (engine.register(&h), engine.register(&k));
+    let token = CancelToken::new();
+    let (led, followed) = std::thread::scope(|scope| {
+        let leader = scope.spawn(|| engine.check_ids_cancellable(ih, ik, &token));
+        // The leader ticks `verdict_misses` once it holds the flight and
+        // starts the cold search, which outlasts the waits below by far.
+        while engine.stats().verdict_misses == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let followers: Vec<_> = (0..FOLLOWERS)
+            .map(|_| scope.spawn(|| engine.check_ids_deadline(ih, ik, Duration::from_secs(3600))))
+            .collect();
+        std::thread::sleep(Duration::from_millis(10));
+        token.cancel();
+        let led = leader.join().expect("leader panicked");
+        let followed: Vec<Containment> = followers
+            .into_iter()
+            .map(|t| t.join().expect("follower panicked"))
+            .collect();
+        (led, followed)
+    });
+
+    assert!(
+        matches!(
+            led.unknown_reason(),
+            Some(UnknownReason::DeadlineExceeded { .. })
+        ),
+        "the cancelled leader must expire: {led}"
+    );
+    for verdict in &followed {
+        assert!(
+            same_answer(verdict, &reference),
+            "a follower inherited the leader's expiry: {verdict} vs {reference}"
+        );
+    }
+    let stats = engine.stats();
+    assert_eq!(
+        stats.deadline_exceeded, 1,
+        "only the leader expired: {stats}"
+    );
+    assert_eq!(
+        stats.verdict_misses, 2,
+        "the cancelled search and exactly one re-run: {stats}"
+    );
+    assert_eq!(
+        stats.verdict_misses + stats.verdict_hits + stats.coalesced_queries,
+        1 + FOLLOWERS as u64,
+        "every query is answered once, by a search, the memo or a flight: {stats}"
+    );
+    // The memo holds the completed verdict, never the expiry.
+    let again = engine.check_ids(ih, ik);
+    let after = engine.stats();
+    assert!(same_answer(&again, &reference), "{again} vs {reference}");
+    assert_eq!(after.verdict_hits, stats.verdict_hits + 1, "{after}");
+    assert_eq!(after.validate_misses, stats.validate_misses, "{after}");
 }
 
 /// The same hammer with coalescing switched off: the verdicts still agree

@@ -13,9 +13,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use shapex_core::budget::Weigh;
 use shapex_core::engine::{ContainmentEngine, EngineOptions};
 use shapex_core::Containment;
 use shapex_graph::generate::GraphGen;
+use shapex_shex::typing::validates;
 use shapex_shex::{parse_schema, Schema};
 
 mod common;
@@ -172,5 +174,84 @@ fn zero_budget_still_answers_correctly() {
                 "a zero budget leaves nothing evictable resident"
             );
         }
+    }
+}
+
+/// Ask every `NotContained` pair of `pairs` twice, on an unbounded engine
+/// and on one squeezed to [`TINY_BUDGET`]. The repeat is served by the
+/// verdict memo with the identical, certified witness, and the memo is
+/// charged at least the witness's weight; the squeezed engine answers the
+/// same while its evictable bytes stay within budget. Returns how many
+/// pairs were refuted.
+fn memoised_witnesses_are_certified(pairs: &[(&Schema, &Schema)]) -> usize {
+    let unbounded = ContainmentEngine::with_search(tiny());
+    let squeezed = budgeted(TINY_BUDGET);
+    let mut refuted = 0;
+    for (i, &(h, k)) in pairs.iter().enumerate() {
+        let before = unbounded.stats();
+        let first = unbounded.check(h, k);
+        let Some(witness) = first.counter_example() else {
+            continue;
+        };
+        refuted += 1;
+        let after_first = unbounded.stats();
+        assert!(
+            after_first.pair_bytes - before.pair_bytes >= witness.weight_bytes(),
+            "pair {i}: the memo must be charged the witness weight: {after_first}"
+        );
+        let second = unbounded.check(h, k);
+        assert_eq!(
+            unbounded.stats().verdict_hits,
+            after_first.verdict_hits + 1,
+            "pair {i}: the repeat must come from the memo"
+        );
+        assert!(
+            same_answer(&first, &second),
+            "pair {i}: memo-served {second} differs from {first}"
+        );
+        let served = second.counter_example().expect("same answer");
+        assert!(
+            validates(served, h) && !validates(served, k),
+            "pair {i}: the memo-served witness must be in L(H) \\ L(K)"
+        );
+        for round in 0..2 {
+            let tight = squeezed.check(h, k);
+            assert!(
+                same_answer(&first, &tight),
+                "pair {i} round {round}: budgeted {tight} vs unbounded {first}"
+            );
+            let stats = squeezed.stats();
+            assert!(
+                stats.evictable_bytes() <= TINY_BUDGET,
+                "pair {i} round {round}: evictable bytes exceed the budget: {stats}"
+            );
+        }
+    }
+    refuted
+}
+
+/// The general procedure's disjunct mismatch: `H` demands three `a1`
+/// edges, one more than `K`'s first choice group allows.
+#[test]
+fn disjunct_mismatch_witness_is_memoised_and_certified() {
+    let h = parse_schema("Root -> a1::L[3;3], a2::L\nL -> EMPTY\n").unwrap();
+    let k =
+        parse_schema("Root -> (a1::L | b1::L)[1;2], (a2::L | b2::L)[1;2]\nL -> EMPTY\n").unwrap();
+    assert!(!k.is_rbe0(), "K must take the general procedure");
+    assert_eq!(memoised_witnesses_are_certified(&[(&h, &k)]), 1);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same over every ordered pair of random families.
+    #[test]
+    fn random_family_witnesses_are_memoised_and_certified(seed in 0u64..100_000) {
+        let family = random_family(seed, 3);
+        let pairs: Vec<(&Schema, &Schema)> = family
+            .iter()
+            .flat_map(|h| family.iter().map(move |k| (h, k)))
+            .collect();
+        memoised_witnesses_are_certified(&pairs);
     }
 }

@@ -20,8 +20,8 @@
 //!   sharded `ServicePool` of workers — and a stats surface (engine cache +
 //!   memory counters, latency histogram), all over one shared
 //!   `ContainmentEngine` — bounded-memory when configured with a
-//!   `cache_budget`, duplicate-proof under concurrency via single-flight
-//!   query coalescing.
+//!   `cache_budget`, duplicate-proof under concurrency via a per-pair
+//!   verdict memo and single-flight query coalescing.
 //! * [`metrics`] — the dependency-free log-spaced latency histogram behind
 //!   the service stats.
 

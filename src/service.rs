@@ -424,14 +424,17 @@ fn splitmix64(seed: u64) -> u64 {
 /// The pause before retry `attempt` (0-based): an exponential base
 /// (100 µs · 2^attempt) plus a deterministic jitter in `[0, 100 µs)` drawn
 /// from `(seed, attempt)`. `None` once attempts are exhausted or the pause
-/// would sleep past `deadline` — the caller should give up instead.
-fn retry_backoff(seed: u64, attempt: u64, deadline: Instant) -> Option<Duration> {
+/// would sleep past `deadline` (if any) — the caller should give up instead.
+fn retry_backoff(seed: u64, attempt: u64, deadline: Option<Instant>) -> Option<Duration> {
     if attempt + 1 >= RETRY_ATTEMPTS {
         return None;
     }
     let base_micros = 100u64 << attempt.min(8);
     let jitter_micros = splitmix64(seed ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 100;
     let pause = Duration::from_micros(base_micros + jitter_micros);
+    let Some(deadline) = deadline else {
+        return Some(pause);
+    };
     let remaining = deadline.checked_duration_since(Instant::now())?;
     (pause < remaining).then_some(pause)
 }
@@ -1029,7 +1032,9 @@ impl ServiceClient {
     /// backoff (each re-send counted in [`ServiceStats::retries`],
     /// exhaustion in [`ServiceStats::retry_gave_up`]); and a reply that
     /// misses the budget comes back as [`ServiceError::DeadlineExceeded`]
-    /// — this call never parks unboundedly. An engine-level expiry that
+    /// — this call never parks past its deadline. A `timeout` that
+    /// overflows the monotonic clock (such as [`Duration::MAX`]) sets no
+    /// deadline, as in [`CancelToken::with_timeout`]. An engine-level expiry that
     /// still answers in time arrives as [`ServiceResponse::Answer`] with
     /// an [`UnknownReason::DeadlineExceeded`] verdict. Note that a
     /// client-side timeout does not revoke the queued request: the server
@@ -1040,15 +1045,13 @@ impl ServiceClient {
         request: ServiceRequest,
         timeout: Duration,
     ) -> Result<ServiceResponse, ServiceError> {
-        let deadline = Instant::now()
-            .checked_add(timeout)
-            .expect("deadline overflows the monotonic clock");
+        let deadline = Instant::now().checked_add(timeout);
         let (reply, responses) = mpsc::channel();
         let mut envelope = ServiceEnvelope {
             tenant: self.tenant,
             request,
             reply,
-            deadline: Some(deadline),
+            deadline,
         };
         let mut attempt = 0;
         loop {
@@ -1073,12 +1076,15 @@ impl ServiceClient {
         Self::recv_deadline(&responses, deadline)
     }
 
-    /// Wait for a reply until `deadline`, mapping a missed budget onto
-    /// [`ServiceError::DeadlineExceeded`].
+    /// Wait for a reply until `deadline` (without one, until it arrives),
+    /// mapping a missed budget onto [`ServiceError::DeadlineExceeded`].
     fn recv_deadline(
         responses: &mpsc::Receiver<ServiceResponse>,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> Result<ServiceResponse, ServiceError> {
+        let Some(deadline) = deadline else {
+            return Self::unfold(responses.recv().map_err(|_| ServiceError::Disconnected)?);
+        };
         let remaining = deadline.saturating_duration_since(Instant::now());
         match responses.recv_timeout(remaining) {
             Ok(response) => Self::unfold(response),
@@ -1367,15 +1373,13 @@ impl PoolClient {
         request: ServiceRequest,
         timeout: Duration,
     ) -> Result<ServiceResponse, ServiceError> {
-        let deadline = Instant::now()
-            .checked_add(timeout)
-            .expect("deadline overflows the monotonic clock");
+        let deadline = Instant::now().checked_add(timeout);
         let (reply, responses) = mpsc::channel();
         let mut envelope = ServiceEnvelope {
             tenant: self.tenant,
             request,
             reply,
-            deadline: Some(deadline),
+            deadline,
         };
         let mut attempt = 0;
         'rounds: loop {
@@ -1984,9 +1988,59 @@ mod tests {
         );
     }
 
+    /// Two schemas where `? ⊆ *` holds, answered under an unbounded
+    /// `call_timeout`.
+    fn assert_unbounded_timeout_answers(
+        call: impl FnOnce(ServiceRequest) -> Result<ServiceResponse, ServiceError>,
+        ids: &[SchemaId],
+    ) {
+        let check = ServiceRequest::Check {
+            h: ids[0],
+            k: ids[1],
+        };
+        match call(check) {
+            Ok(ServiceResponse::Answer(answer)) => assert!(answer.is_contained(), "? widens to *"),
+            other => panic!("expected Answer, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn service_client_call_timeout_accepts_an_unbounded_timeout() {
+        let service = ContainmentService::new();
+        let texts = ["T -> p::L?\nL -> EMPTY\n", "T -> p::L*\nL -> EMPTY\n"];
+        let ids = ids_of(&service, TenantId::DEFAULT, &texts);
+        let (client, requests) = service.connect(TenantId::DEFAULT, 4);
+        std::thread::scope(|scope| {
+            let server = {
+                let service = service.clone();
+                scope.spawn(move || service.serve(requests))
+            };
+            // `Duration::MAX` overflows the monotonic clock: no deadline.
+            assert_unbounded_timeout_answers(|r| client.call_timeout(r, Duration::MAX), &ids);
+            drop(client);
+            server
+                .join()
+                .expect("serve loop exits once clients hang up");
+        });
+        assert_eq!(service.stats().timeouts.count(), 0);
+    }
+
+    #[test]
+    fn pool_client_call_timeout_accepts_an_unbounded_timeout() {
+        let service = ContainmentService::new();
+        let texts = ["T -> p::L?\nL -> EMPTY\n", "T -> p::L*\nL -> EMPTY\n"];
+        let ids = ids_of(&service, TenantId::DEFAULT, &texts);
+        let pool = service.pool(2, 4);
+        let client = pool.client(TenantId::DEFAULT);
+        assert_unbounded_timeout_answers(|r| client.call_timeout(r, Duration::MAX), &ids);
+        drop(client);
+        pool.join();
+        assert_eq!(service.stats().timeouts.count(), 0);
+    }
+
     #[test]
     fn retry_backoff_is_deterministic_and_bounded() {
-        let deadline = Instant::now() + Duration::from_secs(60);
+        let deadline = Some(Instant::now() + Duration::from_secs(60));
         let a: Vec<_> = (0..RETRY_ATTEMPTS)
             .map(|i| retry_backoff(7, i, deadline))
             .collect();
@@ -2003,7 +2057,10 @@ mod tests {
             "attempts are bounded"
         );
         // An imminent deadline suppresses the pause entirely.
-        assert_eq!(retry_backoff(7, 0, Instant::now()), None);
+        assert_eq!(retry_backoff(7, 0, Some(Instant::now())), None);
+        // Without a deadline only the attempt bound applies.
+        assert_eq!(retry_backoff(7, 0, None), a[0]);
+        assert_eq!(retry_backoff(7, RETRY_ATTEMPTS - 1, None), None);
     }
 
     /// Chaos tests arm the process-global fault registry; they exist only
