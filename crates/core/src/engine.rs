@@ -470,8 +470,9 @@ pub struct EngineStats {
     /// Search branches (candidate loops, pool builds, sampled phases)
     /// abandoned at a cancellation checkpoint.
     pub cancelled_branches: u64,
-    /// Presburger solver invocations (the RBE₀ fast paths never enter the
-    /// solver and are not counted).
+    /// Presburger solver invocations, validations included (the RBE₀ flow
+    /// and forced SORBE fast paths never enter the solver and are not
+    /// counted).
     pub solver_calls: u64,
     /// Cumulative solver search nodes across all invocations.
     pub solver_search_nodes: u64,
@@ -1854,7 +1855,7 @@ impl ContainmentEngine {
         let parallel = fan_out && self.options.threads > 1;
         let mut examined = 0usize;
         let mut checked = 0usize;
-        let mut scratch = ValidateScratch::new();
+        let mut scratch = self.validate_scratch();
         let roots: Vec<TypeId> = h.schema.types().collect();
         let expired = |checked: usize, token: &CancelToken| SearchOutcome {
             witness: None,
@@ -2050,7 +2051,7 @@ impl ContainmentEngine {
             ..opts.clone()
         };
         let graphs = {
-            let mut scratch = ValidateScratch::new();
+            let mut scratch = self.validate_scratch();
             let mut unfolder = lock_or_recover(&h.unfolder);
             let graphs = unfolder.try_members_with(
                 &h.schema,
@@ -2164,7 +2165,7 @@ impl ContainmentEngine {
         let roots: Vec<TypeId> = h.schema.types().collect();
         let mut graphs = Vec::new();
         if !roots.is_empty() {
-            let mut scratch = ValidateScratch::new();
+            let mut scratch = self.validate_scratch();
             let mut unfolder = lock_or_recover(&h.unfolder);
             let mut is_member =
                 |g: &Graph| validate_memoised(h, &self.counters, &self.budget, g, &mut scratch);
@@ -2196,6 +2197,12 @@ impl ContainmentEngine {
             self.sync_unfolder_bytes(h, &unfolder);
         }
         Some(graphs)
+    }
+
+    /// A validation scratch whose Presburger fallbacks run under the
+    /// session's solver options and record into its telemetry.
+    fn validate_scratch(&self) -> ValidateScratch {
+        ValidateScratch::with_solver(self.session.solver, self.session.telemetry.clone())
     }
 
     /// One memoised `validates(graph, k)` verdict.
@@ -2236,8 +2243,8 @@ impl ContainmentEngine {
                     let handles: Vec<_> = missing
                         .chunks(missing.len().div_ceil(workers))
                         .map(|part| {
+                            let mut scratch = self.validate_scratch();
                             scope.spawn(move || {
-                                let mut scratch = ValidateScratch::new();
                                 part.iter()
                                     .map(|&i| (i, validates_with(&pool[i], schema, &mut scratch)))
                                     .collect::<Vec<(usize, bool)>>()
@@ -2251,7 +2258,7 @@ impl ContainmentEngine {
                     }
                 });
             } else {
-                let mut scratch = ValidateScratch::new();
+                let mut scratch = self.validate_scratch();
                 for &i in &missing {
                     verdicts[i] = Some(validates_with(&pool[i], schema, &mut scratch));
                 }
@@ -3389,5 +3396,24 @@ mod tests {
         let text = format!("{stats}");
         assert!(text.contains("admission ceiling 32 B"), "{text}");
         assert_eq!(unbounded.stats().admission_rejections, 0);
+    }
+
+    #[test]
+    fn validations_record_their_solver_calls() {
+        // K's root `p::B | p::C` is single-occurrence but not RBE₀, and the
+        // candidate's leaf is both B and C, so only the solver can validate
+        // the candidate against K. H is RBE₀: enumerating and validating its
+        // own candidates never enters the solver, and the counter-example
+        // search runs no sufficient check.
+        let h = parse_schema("R -> p::L\nL -> EMPTY\n").unwrap();
+        let k = parse_schema("A -> p::B | p::C\nB -> EMPTY\nC -> EMPTY\n").unwrap();
+        let engine = quick_engine();
+        assert!(engine.counter_example(&h, &k).is_none(), "L(H) ⊆ L(K)");
+        let stats = engine.stats();
+        assert!(stats.validate_misses > 0, "{stats}");
+        assert!(
+            stats.solver_calls > 0,
+            "validation hid its solver work: {stats}"
+        );
     }
 }

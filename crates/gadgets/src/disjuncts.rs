@@ -2,21 +2,23 @@
 //!
 //! The reductions of [`crate::reductions`] resolve in well under a
 //! millisecond, which makes them useless for measuring solver-level
-//! optimisations. The pairs here are built so that the §6 procedure spends
-//! its time inside the Presburger solver: every schema `K` in the family
-//! defines its root as an unordered concatenation of *choice groups*
+//! optimisations. The pairs here stress the §6 procedure's non-RBE₀ path:
+//! every schema `K` in the family defines its root as an unordered
+//! concatenation of *choice groups*
 //!
 //! ```text
 //! Root -> (a1::L | b1::L)[1;2] || … || (ag::L | bg::L)[1;2]
 //! ```
 //!
-//! The definition is not RBE₀ (disjunction under repetition), so every
-//! neighbourhood check — in the sufficient type-simulation and in the
-//! candidate filtering of the counter-example search — takes the ψ
-//! translation into the bounded solver, and every group contributes an
-//! independent branch point. On the Unsat side the solver must refute every
-//! branch combination, which is exactly the workload the parallel disjunct
-//! search spreads across workers.
+//! The definition is not RBE₀ (disjunction under repetition), so no
+//! neighbourhood check can take the interval flow. It is single-occurrence,
+//! though, and every edge of the family points at the one leaf type `L`, so
+//! each check — in the typing fixpoint, the arena acceptance of unfolded
+//! trees and the sufficient type-simulation — sees a determined bag and is
+//! decided by polynomial SORBE membership without entering the Presburger
+//! solver. Every group still contributes an independent branch point to the
+//! ψ translation, which is what the solver would face on a neighbourhood
+//! whose edges could take several atoms.
 
 use shapex_rbe::{Interval, Rbe};
 use shapex_shex::{Atom, Schema, TypeId};
@@ -103,7 +105,7 @@ mod tests {
         let root = k.find_type("Root").expect("root exists");
         assert!(
             k.def(root).to_rbe0().is_none(),
-            "the family must dodge the RBE0 flow fast path to reach the solver"
+            "the family must dodge the RBE0 flow fast path"
         );
     }
 
@@ -131,18 +133,53 @@ mod tests {
         }
     }
 
+    /// Registers both schemas in a fresh engine and returns its verdict and
+    /// the solver calls it made.
+    fn engine_check(h: &Schema, k: &Schema) -> (Containment, u64) {
+        use shapex_core::engine::{ContainmentEngine, EngineOptions};
+        let engine = ContainmentEngine::with_options(EngineOptions::quick());
+        let hid = engine.register(h);
+        let kid = engine.register(k);
+        let verdict = engine.check_ids(hid, kid);
+        (verdict, engine.stats().solver_calls)
+    }
+
     #[test]
-    fn the_family_reaches_the_presburger_solver() {
-        use shapex_core::engine::ContainmentEngine;
-        let (h, k) = disjunct_choice_pair(3);
-        let engine = ContainmentEngine::with_options(shapex_core::engine::EngineOptions::quick());
-        let hid = engine.register(&h);
-        let kid = engine.register(&k);
-        let _ = engine.check_ids(hid, kid);
-        let stats = engine.stats();
-        assert!(
-            stats.solver_calls > 0,
-            "the gadget must exercise the solver path: {stats}"
+    fn the_family_is_decided_without_the_solver() {
+        for groups in [1, 3, 6] {
+            let (h, k) = disjunct_choice_pair(groups);
+            let (verdict, calls) = engine_check(&h, &k);
+            assert!(verdict.is_contained(), "groups={groups}: {verdict:?}");
+            assert_eq!(calls, 0, "choice groups={groups} reached the solver");
+
+            let (h, k) = disjunct_mismatch_pair(groups);
+            let (verdict, calls) = engine_check(&h, &k);
+            assert!(verdict.is_not_contained(), "groups={groups}: {verdict:?}");
+            assert_eq!(calls, 0, "mismatch groups={groups} reached the solver");
+        }
+    }
+
+    #[test]
+    fn a_repeated_atom_still_reaches_the_presburger_solver() {
+        // `(a1::L | (a1::L || b1::L))[1;2]` mentions `a1::L` twice, so it is
+        // not single-occurrence and its bags go through the ψ translation.
+        let (h, _) = disjunct_choice_pair(1);
+        let mut k = Schema::new();
+        let root = k.add_type("Root");
+        let leaf = k.add_type("L");
+        let a1 = || Rbe::symbol(Atom::new("a1", leaf));
+        let def = Rbe::repeat(
+            Rbe::disj(vec![
+                a1(),
+                Rbe::concat(vec![a1(), Rbe::symbol(Atom::new("b1", leaf))]),
+            ]),
+            Interval::bounded(1, 2),
         );
+        assert!(!def.is_single_occurrence());
+        k.define(root, def);
+        k.define(leaf, Rbe::Epsilon);
+        let (verdict, calls) = engine_check(&h, &k);
+        assert!(verdict.is_contained(), "{verdict:?}");
+        assert!(calls > 0, "the non-SORBE variant must exercise the solver");
     }
 }

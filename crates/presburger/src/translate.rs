@@ -33,9 +33,8 @@ pub struct PsiBuilder<'p> {
 
 impl<'p> PsiBuilder<'p> {
     /// A builder whose auxiliary variables (bag splits and iteration counts)
-    /// are bounded by `split_bound`. For membership of a known bag, a bound of
-    /// `bag.total() + largest finite interval constant + 1` is always
-    /// sufficient.
+    /// are bounded by `split_bound`. For membership of a known bag,
+    /// [`membership_bound`] is always sufficient.
     pub fn new(pool: &'p mut VarPool, split_bound: u64) -> PsiBuilder<'p> {
         PsiBuilder { pool, split_bound }
     }
@@ -195,6 +194,33 @@ pub fn max_interval_constant<S>(expr: &Rbe<S>) -> u64 {
     }
 }
 
+/// A variable bound under which `ψ_E(x̄, 1)` has a solution whenever the bag
+/// `x̄`, of size `total`, belongs to `L(E)`.
+///
+/// Split counts never exceed `total`. `n` copies of a repetition `E^[k;ℓ]`
+/// need at most `max(k·n, total)` copies of `E`: a non-nullable `E` spends a
+/// symbol on every copy, and a nullable one can drop surplus empty copies
+/// down to `k·n`. Nested repetitions therefore multiply their lower bounds
+/// (`((ε?)^[2;2])^[2;2]` needs four copies of `ε?` for the empty bag), so
+/// the bound is the largest such count along any path, and never below
+/// `total + max_interval_constant + 1`, which covers unnested repetitions.
+pub fn membership_bound<S>(expr: &Rbe<S>, total: u64) -> u64 {
+    fn copies<S>(expr: &Rbe<S>, n: u64, total: u64) -> u64 {
+        match expr {
+            Rbe::Epsilon | Rbe::Symbol(_) => n,
+            Rbe::Disj(parts) | Rbe::Concat(parts) => parts
+                .iter()
+                .map(|part| copies(part, n, total))
+                .fold(n, u64::max),
+            Rbe::Repeat(inner, interval) => {
+                let m = interval.lo().saturating_mul(n).max(total);
+                n.max(copies(inner, m, total))
+            }
+        }
+    }
+    (total + max_interval_constant(expr) + 1).max(copies(expr, 1, total))
+}
+
 /// NP membership test for arbitrary regular bag expressions via the Presburger
 /// translation: `bag ∈ L(expr)`?
 ///
@@ -206,7 +232,7 @@ pub fn rbe_member<S: Ord + Clone>(bag: &Bag<S>, expr: &Rbe<S>) -> bool {
     if bag.symbols().any(|s| !alphabet.contains(s)) {
         return false;
     }
-    let bound = bag.total() + max_interval_constant(expr) + 1;
+    let bound = membership_bound(expr, bag.total());
     let xs: ParikhVec<S> = alphabet
         .iter()
         .map(|s| (s.clone(), LinearExpr::constant(bag.count(s) as i64)))
@@ -351,6 +377,31 @@ mod tests {
         assert!(!rbe_member(&bag(&["a"]), &e));
         assert!(rbe_member(&bag(&["a", "a"]), &e));
         assert!(!rbe_member(&bag(&["a", "a", "a"]), &e));
+    }
+
+    #[test]
+    fn nested_nullable_repetitions_multiply_the_copies() {
+        // ((ε?)^[2;2])^[2;2] holds the empty bag only through four copies of
+        // `ε?`, more than the size-plus-largest-constant bound allows.
+        let e = Rbe::repeat(
+            Rbe::repeat(Rbe::opt(Rbe::Epsilon), Interval::exactly(2)),
+            Interval::exactly(2),
+        );
+        assert!(membership_bound(&e, 0) >= 4);
+        assert!(rbe_member(&bag(&[]), &e));
+        assert_eq!(rbe_member(&bag(&[]), &e), naive_member(&bag(&[]), &e));
+        // ((a?)^[3;3])^[2;2]: at most six a's, padded with empty copies.
+        let e = Rbe::repeat(
+            Rbe::repeat(Rbe::opt(Rbe::symbol("a")), Interval::exactly(3)),
+            Interval::exactly(2),
+        );
+        for candidate in [bag(&[]), bag(&["a"]), bag(&["a"; 6]), bag(&["a"; 7])] {
+            assert_eq!(
+                rbe_member(&candidate, &e),
+                naive_member(&candidate, &e),
+                "disagreement on {candidate}"
+            );
+        }
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! * [`rbe0_member`] — linear time for the RBE₀ normal form (per-symbol
 //!   interval sums).
 //! * [`sorbe_member`] — polynomial time for single-occurrence expressions,
-//!   via an interval-abstraction of the admissible iteration counts.
+//!   via an interval-abstraction of the admissible iteration counts. Node
+//!   validation in `shapex-shex` calls it whenever a neighbourhood determines
+//!   the bag of a single-occurrence definition.
 //! * [`naive_member`] — an exponential search over bag decompositions that
 //!   works for arbitrary expressions; it serves as a correctness oracle in
 //!   tests and as a baseline in benchmarks. Production-strength membership
-//!   for arbitrary expressions goes through the Presburger translation in the
+//!   for the remaining cases goes through the Presburger translation in the
 //!   `shapex-presburger` crate (general RBE membership is NP-complete,
 //!   Kopczynski & To 2010).
 

@@ -9,25 +9,30 @@
 //! ([`maximal_typing`]); `G` satisfies `S` when every node receives at least
 //! one type ([`validates`]).
 //!
-//! Node satisfaction is decided along two paths matching the paper's
+//! Node satisfaction is decided along three paths matching the paper's
 //! complexity results:
 //!
 //! * RBE₀ definitions reduce to an interval-flow assignment
 //!   ([`shapex_rbe::flow`]), polynomial for simple graphs;
-//! * arbitrary definitions go through the Presburger translation
-//!   (`ψ_E`), which also covers compressed graphs whose edge multiplicities
-//!   are binary-encoded (Proposition 6.2, NP).
+//! * single-occurrence definitions whose neighbourhood fixes one atom per
+//!   edge have a determined bag, decided by the polynomial SORBE membership
+//!   test ([`shapex_rbe::membership::sorbe_member`]);
+//! * everything else goes through the Presburger translation (`ψ_E`),
+//!   which also covers compressed graphs whose edge multiplicities are
+//!   binary-encoded (Proposition 6.2, NP).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use shapex_graph::{Graph, Label, NodeId};
 use shapex_presburger::formula::{Formula, LinearExpr, VarPool};
 use shapex_presburger::solver::{
     Bounds, CancelCheck, SolveResult, Solver, SolverOptions, SolverStats,
 };
-use shapex_presburger::translate::{max_interval_constant, ParikhVec, PsiBuilder};
-use shapex_rbe::{FlowScratch, Interval, Rbe, Rbe0};
+use shapex_presburger::translate::{membership_bound, ParikhVec, PsiBuilder};
+use shapex_rbe::membership::sorbe_member;
+use shapex_rbe::{Bag, FlowScratch, Interval, Rbe, Rbe0};
 
 use crate::schema::{Atom, Schema, TypeId};
 
@@ -44,7 +49,10 @@ use crate::schema::{Atom, Schema, TypeId};
 /// one `Typing` allocation and one RBE₀-view rebuild per type; only the
 /// inner loop, which runs orders of magnitude more often, is allocation
 /// free.) The containment engine of `shapex-core` threads one scratch
-/// through its memoised validate step.
+/// through its memoised validate step, built with
+/// [`ValidateScratch::with_solver`] so the Presburger fallbacks of its
+/// validations run under the engine's solver configuration and record into
+/// its telemetry.
 #[derive(Debug, Default)]
 pub struct ValidateScratch {
     flow: FlowScratch,
@@ -56,12 +64,30 @@ pub struct ValidateScratch {
     rbe0s: Vec<Option<Rbe0<Atom>>>,
     /// The types of the node under refinement (snapshot per node per sweep).
     current: Vec<TypeId>,
+    /// Solver configuration for the Presburger fallback.
+    solver: SolverOptions,
+    /// Where the Presburger fallback records its counters (`None` drops
+    /// them).
+    telemetry: Option<Arc<SolverTelemetry>>,
 }
 
 impl ValidateScratch {
-    /// A scratch with empty buffers.
+    /// A scratch with empty buffers, a serial solver and no telemetry.
     pub fn new() -> ValidateScratch {
         ValidateScratch::default()
+    }
+
+    /// A scratch whose Presburger fallbacks run under `solver` and record
+    /// their counters into `telemetry`.
+    pub fn with_solver(
+        solver: SolverOptions,
+        telemetry: Option<Arc<SolverTelemetry>>,
+    ) -> ValidateScratch {
+        ValidateScratch {
+            solver,
+            telemetry,
+            ..ValidateScratch::default()
+        }
     }
 }
 
@@ -557,9 +583,10 @@ fn rbe0_flow_satisfies(
 /// semantically identical to [`node_satisfies`], but the edge summaries on
 /// the fast path are never materialised — the flow instance borrows the
 /// typing directly — and the RBE₀ view comes from the scratch's per-call
-/// cache. The Presburger fallback runs under external cancellation: `None`
-/// means `cancel` fired mid-solve; `Some` verdicts are identical to the
-/// uncancelled path.
+/// cache. The other paths run under the scratch's solver options and
+/// telemetry, and the Presburger fallback under external cancellation:
+/// `None` means `cancel` fired mid-solve; `Some` verdicts are identical to
+/// the uncancelled path.
 #[allow(clippy::too_many_arguments)]
 fn try_node_satisfies_scratch(
     graph: &Graph,
@@ -596,8 +623,8 @@ fn try_node_satisfies_scratch(
             return Some(ok);
         }
     }
-    // General path (rare): fall back to the materialised edge summaries and
-    // the Presburger encoding.
+    // Every other definition: materialise the edge summaries for the forced
+    // SORBE bag and, failing that, the Presburger encoding.
     let edges: Vec<EdgeSummary> = out
         .iter()
         .map(|&e| EdgeSummary {
@@ -609,8 +636,8 @@ fn try_node_satisfies_scratch(
     try_neighbourhood_satisfies_with(
         &edges,
         schema.def(t),
-        SolverOptions::default(),
-        None,
+        scratch.solver,
+        scratch.telemetry.as_deref(),
         cancel,
     )
 }
@@ -649,8 +676,8 @@ pub fn neighbourhood_satisfies(edges: &[EdgeSummary], def: &Rbe<Atom>) -> bool {
 
 /// [`neighbourhood_satisfies`] with explicit [`SolverOptions`] for the
 /// Presburger fallback and an optional [`SolverTelemetry`] that accumulates
-/// the solver counters (the RBE₀ flow fast path records nothing — it never
-/// enters the solver).
+/// the solver counters (the RBE₀ flow and forced SORBE fast paths record
+/// nothing — they never enter the solver).
 pub fn neighbourhood_satisfies_with(
     edges: &[EdgeSummary],
     def: &Rbe<Atom>,
@@ -663,9 +690,13 @@ pub fn neighbourhood_satisfies_with(
 
 /// [`neighbourhood_satisfies_with`] under external cancellation: the
 /// Presburger fallback polls `cancel` at its search checkpoints and the call
-/// returns `None` once it fires (the RBE₀ flow fast path is polynomial and
-/// runs to completion regardless). `Some` verdicts are identical to the
-/// uncancelled path.
+/// returns `None` once it fires (the RBE₀ flow and forced SORBE fast paths
+/// are polynomial and run to completion regardless). `Some` verdicts are
+/// identical to the uncancelled path.
+///
+/// The checks run in this order: an edge with no candidate type; the RBE₀
+/// interval flow; the forced bag of a single-occurrence definition; the
+/// Presburger encoding.
 pub fn try_neighbourhood_satisfies_with(
     edges: &[EdgeSummary],
     def: &Rbe<Atom>,
@@ -698,9 +729,48 @@ pub fn try_neighbourhood_satisfies_with(
             return Some(ok);
         }
     }
+    if let Some(ok) = forced_sorbe_satisfies(edges, def) {
+        return Some(ok);
+    }
     // General path: Presburger encoding of the partition of edge copies into
     // types, fed to ψ_def (the formulas φ_t of Section 6 with x̄ fixed).
     satisfies_via_presburger(edges, def, options, telemetry, cancel)
+}
+
+/// The forced-bag fast path for single-occurrence definitions. Each edge
+/// (multiplicity ≥ 1) is narrowed to the types `t` of its target set with
+/// `label::t` in `def`'s alphabet — ψ_def forces every other atom to zero,
+/// so the narrowing loses no solution. An edge left with no type rules the
+/// neighbourhood out; when every edge keeps exactly one, the bag over
+/// `Σ × Γ` is determined and [`sorbe_member`] decides it in polynomial
+/// time. `None` (a non-SORBE `def`, or an edge with several types left)
+/// leaves the question to the Presburger encoding.
+fn forced_sorbe_satisfies(edges: &[EdgeSummary], def: &Rbe<Atom>) -> Option<bool> {
+    if !def.is_single_occurrence() {
+        return None;
+    }
+    let alphabet = def.alphabet();
+    let mut bag = Bag::new();
+    let mut ambiguous = false;
+    for edge in edges.iter().filter(|e| e.multiplicity > 0) {
+        let mut kept = edge
+            .target_types
+            .iter()
+            .map(|&target| Atom {
+                label: edge.label.clone(),
+                target,
+            })
+            .filter(|atom| alphabet.contains(atom));
+        match (kept.next(), kept.next()) {
+            (None, _) => return Some(false),
+            (Some(atom), None) => bag.add(atom, edge.multiplicity),
+            (Some(_), Some(_)) => ambiguous = true,
+        }
+    }
+    if ambiguous {
+        return None;
+    }
+    Some(sorbe_member(&bag, def).expect("the definition is single-occurrence"))
 }
 
 fn satisfies_via_presburger(
@@ -712,7 +782,7 @@ fn satisfies_via_presburger(
 ) -> Option<bool> {
     let mut pool = VarPool::new();
     let total: u64 = edges.iter().map(|e| e.multiplicity).sum();
-    let bound = total + max_interval_constant(def) + 1;
+    let bound = membership_bound(def, total);
 
     // Partition variables y_{e,t}: how many copies of edge e are used with
     // target type t.
@@ -1073,13 +1143,18 @@ emp1 -email-> l9
     #[test]
     fn cancelled_presburger_fallback_surfaces_as_none() {
         use std::sync::atomic::AtomicBool;
-        // The disjunctive definition forces the Presburger path.
-        let schema = parse_schema("A -> p::B | q::B\nB -> EMPTY\n").unwrap();
+        // The edge may take either atom of the (single-occurrence)
+        // definition, so no bag is forced and the check reaches the solver.
+        let schema = parse_schema("A -> p::B | p::C\nB -> EMPTY\nC -> EMPTY\n").unwrap();
         let a_type = schema.find_type("A").unwrap();
-        let b_type = schema.find_type("B").unwrap();
         let edges = [EdgeSummary {
             label: Label::new("p"),
-            target_types: [b_type].into_iter().collect(),
+            target_types: [
+                schema.find_type("B").unwrap(),
+                schema.find_type("C").unwrap(),
+            ]
+            .into_iter()
+            .collect(),
             multiplicity: 1,
         }];
         let fired = AtomicBool::new(true);
@@ -1105,6 +1180,40 @@ emp1 -email-> l9
             ),
             Some(true)
         );
+    }
+
+    #[test]
+    fn forced_sorbe_bags_answer_under_a_fired_flag() {
+        use std::sync::atomic::AtomicBool;
+        // `p::B | q::B` is single-occurrence but not RBE₀; a `p` edge to a
+        // `B` target forces the bag {p::B}, decided without the solver.
+        let schema = parse_schema("A -> p::B | q::B\nB -> EMPTY\n").unwrap();
+        let a_type = schema.find_type("A").unwrap();
+        let b_type = schema.find_type("B").unwrap();
+        let edge = |label: &str| EdgeSummary {
+            label: Label::new(label),
+            target_types: [b_type].into_iter().collect(),
+            multiplicity: 1,
+        };
+        let fired = AtomicBool::new(true);
+        let telemetry = SolverTelemetry::new();
+        for (edges, expected) in [
+            (vec![edge("p")], true),
+            (vec![edge("p"), edge("q")], false),
+            (vec![edge("r")], false),
+        ] {
+            assert_eq!(
+                try_neighbourhood_satisfies_with(
+                    &edges,
+                    schema.def(a_type),
+                    SolverOptions::default(),
+                    Some(&telemetry),
+                    Some(CancelCheck::new(&fired)),
+                ),
+                Some(expected)
+            );
+        }
+        assert_eq!(telemetry.calls(), 0, "forced bags never enter the solver");
     }
 
     #[test]
@@ -1136,5 +1245,167 @@ emp1 -email-> l9
         // An epsilon definition rejects any outgoing edge.
         assert!(!neighbourhood_satisfies(&[edge(1, &[b])], &Rbe::Epsilon));
         assert!(neighbourhood_satisfies(&[], &Rbe::Epsilon));
+    }
+
+    mod forced_sorbe {
+        use super::*;
+        use proptest::prelude::*;
+        use shapex_rbe::membership::naive_member;
+
+        const LABELS: [&str; 3] = ["p", "q", "r"];
+        const TYPES: u32 = 3;
+
+        fn atom(i: usize) -> Atom {
+            Atom::new(LABELS[i / TYPES as usize], TypeId(i as u32 % TYPES))
+        }
+
+        /// Random definitions over the nine atoms `{p,q,r} × {A,B,C}`, with
+        /// repeated atoms allowed (made single-occurrence afterwards).
+        fn arb_shape() -> impl Strategy<Value = Rbe<Atom>> {
+            let leaf = prop_oneof![
+                Just(Rbe::Epsilon),
+                (0usize..LABELS.len() * TYPES as usize).prop_map(|i| Rbe::symbol(atom(i))),
+            ];
+            let interval = prop_oneof![
+                Just(Interval::ONE),
+                Just(Interval::OPT),
+                Just(Interval::STAR),
+                Just(Interval::PLUS),
+                Just(Interval::bounded(1, 2)),
+                Just(Interval::exactly(2)),
+            ];
+            leaf.prop_recursive(3, 16, 3, move |inner| {
+                prop_oneof![
+                    proptest::collection::vec(inner.clone(), 1..4).prop_map(Rbe::disj),
+                    proptest::collection::vec(inner.clone(), 1..4).prop_map(Rbe::concat),
+                    (inner, interval.clone()).prop_map(|(e, i)| Rbe::repeat(e, i)),
+                ]
+            })
+        }
+
+        /// Make `expr` single-occurrence: the first occurrence of an atom
+        /// keeps it, a later one takes the first unused atom (or becomes ε
+        /// once all nine are used).
+        fn single_occurrence(expr: Rbe<Atom>, used: &mut BTreeSet<Atom>) -> Rbe<Atom> {
+            match expr {
+                Rbe::Epsilon => Rbe::Epsilon,
+                Rbe::Symbol(a) => {
+                    let fresh = std::iter::once(a)
+                        .chain((0..LABELS.len() * TYPES as usize).map(atom))
+                        .find(|a| !used.contains(a));
+                    match fresh {
+                        Some(a) => {
+                            used.insert(a.clone());
+                            Rbe::Symbol(a)
+                        }
+                        None => Rbe::Epsilon,
+                    }
+                }
+                Rbe::Disj(parts) => Rbe::Disj(
+                    parts
+                        .into_iter()
+                        .map(|p| single_occurrence(p, used))
+                        .collect(),
+                ),
+                Rbe::Concat(parts) => Rbe::Concat(
+                    parts
+                        .into_iter()
+                        .map(|p| single_occurrence(p, used))
+                        .collect(),
+                ),
+                Rbe::Repeat(inner, i) => Rbe::Repeat(Box::new(single_occurrence(*inner, used)), i),
+            }
+        }
+
+        fn arb_sorbe() -> impl Strategy<Value = Rbe<Atom>> {
+            arb_shape().prop_map(|e| single_occurrence(e, &mut BTreeSet::new()))
+        }
+
+        /// Raw edge draws: `(aim, atom, label, types, multiplicity)`.
+        type RawEdge = (u32, usize, usize, u32, u64);
+
+        fn arb_raw_edges() -> impl Strategy<Value = Vec<RawEdge>> {
+            proptest::collection::vec(
+                (0u32..4, 0usize..9, 0usize..LABELS.len(), 0u32..8, 1u64..=3),
+                0..5,
+            )
+        }
+
+        /// 0–4 edges. Three in four aim at an atom of `def`'s alphabet: its
+        /// label and type, plus with even `types` every other type the
+        /// label has in the alphabet and the types of the mask (forced or
+        /// ambiguous). The rest take any label and any subset of `{A,B,C}`
+        /// (empty, or outside the alphabet).
+        fn edges_for(def: &Rbe<Atom>, raw: &[RawEdge]) -> Vec<EdgeSummary> {
+            let alphabet: Vec<Atom> = def.alphabet().into_iter().collect();
+            let mask_types =
+                |mask: u32| (0..TYPES).filter(move |t| mask & (1 << t) != 0).map(TypeId);
+            raw.iter()
+                .map(|&(aim, atom, label, types, multiplicity)| {
+                    if aim > 0 && !alphabet.is_empty() {
+                        let target = &alphabet[atom % alphabet.len()];
+                        let mut target_types: BTreeSet<TypeId> =
+                            [target.target].into_iter().collect();
+                        if types % 2 == 0 {
+                            let rivals = alphabet.iter().filter(|a| a.label == target.label);
+                            target_types.extend(rivals.map(|a| a.target).chain(mask_types(types)));
+                        }
+                        EdgeSummary {
+                            label: target.label.clone(),
+                            target_types,
+                            multiplicity,
+                        }
+                    } else {
+                        EdgeSummary {
+                            label: Label::new(LABELS[label]),
+                            target_types: mask_types(types).collect(),
+                            multiplicity,
+                        }
+                    }
+                })
+                .collect()
+        }
+
+        /// The bag a neighbourhood determines when every edge keeps exactly
+        /// one atom of `def`'s alphabet, computed independently of the
+        /// production path.
+        fn forced_bag(edges: &[EdgeSummary], def: &Rbe<Atom>) -> Option<Bag<Atom>> {
+            let alphabet = def.alphabet();
+            let mut bag = Bag::new();
+            for edge in edges {
+                let kept: Vec<Atom> = edge
+                    .target_types
+                    .iter()
+                    .map(|&t| Atom::new(edge.label.clone(), t))
+                    .filter(|a| alphabet.contains(a))
+                    .collect();
+                match kept.as_slice() {
+                    [only] => bag.add(only.clone(), edge.multiplicity),
+                    _ => return None,
+                }
+            }
+            Some(bag)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn dispatch_agrees_with_presburger_and_the_oracle(
+                def in arb_sorbe(),
+                raw in arb_raw_edges(),
+            ) {
+                prop_assert!(def.is_single_occurrence());
+                let edges = edges_for(&def, &raw);
+                let options = SolverOptions::default();
+                let fast = try_neighbourhood_satisfies_with(&edges, &def, options, None, None);
+                let psi = satisfies_via_presburger(&edges, &def, options, None, None);
+                prop_assert_eq!(fast, psi, "def {} edges {:?}", def, edges);
+                if let Some(bag) = forced_bag(&edges, &def) {
+                    let oracle = naive_member(&bag, &def);
+                    prop_assert_eq!(fast, Some(oracle), "def {} bag {}", def, bag);
+                }
+            }
+        }
     }
 }
